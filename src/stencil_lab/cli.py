@@ -143,7 +143,9 @@ def _cmd_learn(args) -> int:
     report.save_json(out / "solver_report.json")
     report.save_csv(out / "trace.csv")
     dump_diagnostics(assemble_regression(ts, R=radius, lam=lam, M=box), out / "diagnostics.json")
-    print(f"method={report.method} iterations={report.iterations}")
+    print(f"method={report.method} iterations={report.iterations} stop_reason={report.stop_reason}")
+    if report.stop_reason == "max_iters":
+        print(f"warning: {report.method} stopped at its iteration cap ({report.iterations}); not converged", file=sys.stderr)
     print(f"w = {stencil.w}")
     print(f"objective = {report.objective_trace[-1]:.12g}  eq_residual = {report.eq_residual_trace[-1]:.3e}")
     print(f"wrote {out / 'stencil.json'}")

@@ -83,6 +83,11 @@ class Stencil:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Stencil":
+        if not isinstance(data, dict):
+            raise ValueError("stencil file must hold a JSON object")
+        missing = [key for key in ("R", "w", "dx") if key not in data]
+        if missing:
+            raise ValueError(f"stencil file lacks key(s): {', '.join(missing)}")
         w = np.asarray(data["w"], dtype=float)
         if w.size != 2 * int(data["R"]) + 1:
             raise ValueError(f"stencil file inconsistent: len(w)={w.size} but R={data['R']}")

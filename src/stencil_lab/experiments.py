@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -119,7 +119,6 @@ class ExperimentConfig:
                 "tol": self.solver_opts.tol,
                 "rho": self.solver_opts.rho,
                 "step": self.solver_opts.step,
-                "enforce_box": self.solver_opts.enforce_box,
             },
             "dt_ratio": self.dt_ratio,
             "n_steps": self.n_steps,
@@ -134,7 +133,15 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """Inverse of to_dict; missing keys take their defaults and
+        unknown keys raise ValueError."""
         data = dict(data)
+        unknown = [k for k in data if k not in {f.name for f in fields(cls)}]
+        unknown += [f"training.{k}" for k in data.get("training", {}) if k not in _TRAINING_KEYS]
+        opts_keys = {f.name for f in fields(SolverOptions)}
+        unknown += [f"solver_opts.{k}" for k in data.get("solver_opts", {}) if k not in opts_keys]
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         if "training" in data:
             t = dict(data["training"])
             grid = Grid1D(N=int(t.pop("N", 64)), L=float(t.pop("L", 1.0)))
@@ -153,6 +160,9 @@ class ExperimentConfig:
         if "output_dir" in data:
             data["output_dir"] = Path(data["output_dir"])
         return cls(**data)
+
+
+_TRAINING_KEYS = {"n_sims", "m_max", "N", "L", "seed", "amplitude_std", "noise_std"}
 
 
 def learn_stencil(

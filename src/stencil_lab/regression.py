@@ -1,11 +1,16 @@
-"""Least-squares system assembly, skew-symmetry constraints, and the
-affine projection used by the first-order solvers.
+"""Least-squares system assembly, the skew-symmetry constraints, and the
+skew-reduced problem the solvers work on.
 
 The design matrix A stacks one row per (sample, field, grid index): the
 row holds the periodic patch (u_{i-R}, ..., u_{i+R}) and the target is
 the corresponding time derivative at index i. Because A has at most 2R+1
 columns, the Gram matrix A^T A and A^T b are precomputed once; every
-solver iteration then costs O((2R+1)^2) regardless of the number of rows.
+solver iteration then costs O(R^2) regardless of the number of rows.
+
+Skew-adjointness (w_0 = 0, w_{-l} = -w_{+l}) is the only linear
+constraint. It is eliminated by the parametrization w = P a with free
+coefficients a_l = w_{+l} (lift); the box |w| <= M is then exactly
+|a| <= M, and reduce_problem gives the R-unknown box QP in a.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .training import TrainingSet
 
@@ -23,7 +27,7 @@ from .training import TrainingSet
 @dataclass(frozen=True, eq=False)
 class RegressionSystem:
     """Tikhonov-regularized least squares min (1/2)||Aw-b||^2 + (lam/2)||w||^2
-    with box bound |w_l| <= M available to the box-aware solvers."""
+    with box bound |w_l| <= M."""
 
     A: np.ndarray
     b: np.ndarray
@@ -80,79 +84,83 @@ def assemble_regression(ts: TrainingSet, R: int, lam: float = 1e-6, M: float = 1
     return RegressionSystem(A=A, b=b, lam=lam, M=M)
 
 
-@dataclass(frozen=True, eq=False)
-class ConstraintSet:
-    """Linear equality constraints C w = d with C of full row rank.
+@dataclass(frozen=True)
+class SkewConstraints:
+    """Skew-adjointness of the radius-R convolution operator:
+    w_0 = 0 and w_{-l} + w_{+l} = 0 for l = 1..R."""
 
-    The factorization of C C^T is computed once and cached; the affine
-    projection is applied every PG/NAG iteration. Constraint sets built
-    by build_skew_constraints are tagged so the projection can use the
-    exactly antisymmetric closed form.
-    """
-
-    C: np.ndarray
-    d: np.ndarray
-    skew_pairing: bool = False
-    _cct_factor: object = field(init=False, repr=False)
-
-    def __post_init__(self):
-        C = np.asarray(self.C, dtype=float)
-        d = np.asarray(self.d, dtype=float)
-        if C.ndim != 2 or d.shape != (C.shape[0],):
-            raise ValueError(f"need C (m x n) and matching d, got {C.shape} and {d.shape}")
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "d", d)
-        if C.shape[0] == 0:
-            object.__setattr__(self, "_cct_factor", None)
-            return
-        if np.linalg.matrix_rank(C) < C.shape[0]:
-            raise ValueError("constraint matrix C must have full row rank")
-        try:
-            factor = scipy.linalg.cho_factor(C @ C.T)
-        except scipy.linalg.LinAlgError as exc:
-            raise ValueError("constraint matrix C must have full row rank") from exc
-        object.__setattr__(self, "_cct_factor", factor)
-
-    @property
-    def n_constraints(self) -> int:
-        return self.C.shape[0]
+    R: int
 
     def residual(self, w: np.ndarray) -> float:
-        """||C w - d||_2."""
-        if self.n_constraints == 0:
-            return 0.0
-        return float(np.linalg.norm(self.C @ w - self.d))
+        """Euclidean norm of (w_0, w_{-1} + w_{+1}, ..., w_{-R} + w_{+R})."""
+        w = np.asarray(w, dtype=float)
+        R = self.R
+        if w.shape != (2 * R + 1,):
+            raise ValueError(f"w has shape {w.shape}, expected ({2 * R + 1},)")
+        pairs = w[R:] + w[R::-1]  # (2 w_0, w_{+1} + w_{-1}, ..., w_{+R} + w_{-R})
+        pairs[0] = w[R]
+        return float(np.linalg.norm(pairs))
 
 
-def build_skew_constraints(R: int) -> ConstraintSet:
-    """Constraints equivalent to skew-adjointness of the convolution
-    operator: w_0 = 0 and w_{-l} + w_{+l} = 0 for l = 1..R."""
+def build_skew_constraints(R: int) -> SkewConstraints:
+    """The skew-adjointness constraints of a radius-R stencil."""
     if R < 1:
         raise ValueError(f"radius must be >= 1, got {R}")
-    n = 2 * R + 1
-    C = np.zeros((R + 1, n))
-    C[0, R] = 1.0
-    for l in range(1, R + 1):
-        C[l, R - l] = 1.0
-        C[l, R + l] = 1.0
-    return ConstraintSet(C=C, d=np.zeros(R + 1), skew_pairing=True)
+    return SkewConstraints(R)
 
 
-def project_affine(z: np.ndarray, cs: ConstraintSet) -> np.ndarray:
-    """Euclidean projection onto {w : C w = d}:
-    z - C^T (C C^T)^{-1} (C z - d).
+def lift(a: np.ndarray) -> np.ndarray:
+    """The skew stencil w = P a: w_{+l} = a_l, w_{-l} = -a_l, w_0 = 0."""
+    a = np.asarray(a, dtype=float)
+    return np.concatenate([-a[::-1], [0.0], a])
 
-    For the skew pairing constraints this reduces to componentwise
-    antisymmetrization (w_l - w_{-l}) / 2, which is used directly so the
-    projected stencil is skew, and its operator matrix satisfies
-    D^T = -D, exactly rather than to roundoff.
+
+def skew_coordinates(w: np.ndarray) -> np.ndarray:
+    """a = P^T w / 2, so lift(skew_coordinates(w)) is the Euclidean
+    projection of w onto the skew stencils; exact for skew w."""
+    w = np.asarray(w, dtype=float)
+    R = (w.size - 1) // 2
+    return 0.5 * (w[R + 1:] - w[R - 1::-1])
+
+
+@dataclass(frozen=True, eq=False)
+class ReducedProblem:
+    """The QP in the free coefficients a (w = P a, P^T P = 2I):
+    minimize F(a) = (1/2) a^T H a - g^T a + (1/2) b^T b subject to |a| <= M.
+
+    H_ext and g_ext are H and g in extended precision; H and g are them
+    rounded to float64.
     """
-    z = np.asarray(z, dtype=float)
-    if cs.n_constraints == 0:
-        return z.copy()
-    if cs.skew_pairing:
-        return 0.5 * (z - z[::-1])
-    return z - cs.C.T @ scipy.linalg.cho_solve(cs._cct_factor, cs.C @ z - cs.d)
+
+    H: np.ndarray
+    g: np.ndarray
+    H_ext: np.ndarray
+    g_ext: np.ndarray
+    btb: float
+    M: float
+
+    @property
+    def R(self) -> int:
+        return self.g.size
+
+    def objective(self, a: np.ndarray) -> float:
+        return 0.5 * float(a @ (self.H @ a)) - float(self.g @ a) + 0.5 * self.btb
+
+    def gradient(self, a: np.ndarray) -> np.ndarray:
+        return self.H @ a - self.g
+
+
+def reduce_problem(sys: RegressionSystem) -> ReducedProblem:
+    """Substitute w = P a into f: H = P^T (A^T A) P + 2 lam I, g = P^T A^T b.
+
+    Both are formed in extended precision. The entries of A^T A are large
+    next to H's small eigenvalues (condition number ~1e11 at R = 4 on the
+    default data), so forming H in float64 loses digits to cancellation.
+    """
+    P = np.array([lift(e) for e in np.eye(sys.R)], dtype=np.longdouble).T
+    H = P.T @ sys.gram.astype(np.longdouble) @ P + 2 * np.longdouble(sys.lam) * np.eye(sys.R, dtype=np.longdouble)
+    g = P.T @ sys.atb.astype(np.longdouble)
+    return ReducedProblem(H=H.astype(float), g=g.astype(float), H_ext=H, g_ext=g, btb=sys.btb, M=sys.M)
 
 
 def objective_and_gradient(sys: RegressionSystem, w: np.ndarray) -> tuple[float, np.ndarray]:

@@ -194,11 +194,6 @@ def simulate(
     return SimResult(final=final, energy_series=energies, snapshot_steps=snapshot_steps, snapshots=snapshots)
 
 
-def default_sim_config(grid: Grid1D, stencil: Stencil, dt_ratio: float = 0.5, n_steps: int = 300) -> SimConfig:
-    """Standard time-integration setup: dt = dt_ratio * dx, 300 steps."""
-    return SimConfig(dt=dt_ratio * grid.dx, n_steps=n_steps, grid=grid, stencil=stencil)
-
-
 def traveling_wave_exact(grid: Grid1D, t: float) -> FieldPair:
     """Reference profile E = sin(2 pi (x - t) / L), H = cos(2 pi (x - t) / L).
 

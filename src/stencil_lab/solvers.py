@@ -1,24 +1,25 @@
-"""Four solvers for the constrained stencil-learning quadratic program.
+"""Four solvers for the stencil-learning quadratic program.
+
+Every solver works on regression.reduce_problem: the free coefficients a
+(w = P a) under the box |a| <= M, which is exactly the box |w| <= M. The
+skew constraint holds by construction and np.clip is the exact
+projection onto the feasible set.
 
 * solve_pg / solve_nag: projected gradient and its Nesterov-accelerated
-  variant, applied to the equality-constrained problem only (the box
-  bound is deliberately not enforced; sequential projection onto the
-  subspace and the box is not the exact projection onto their
-  intersection, so requesting it raises).
-* solve_admm: operator splitting with an exact KKT solve for the
-  w-update (factored once) and componentwise box clipping for z.
-* solve_reference: high-accuracy baseline; an equality-constrained KKT
-  solve followed by a primal active-set loop over the box constraints.
-  Exact for these small, strictly convex problems.
+  variant. The step alpha/2 on F(a) = f(P a) is the step alpha = 1/L on f
+  followed by the projection onto the skew stencils.
+* solve_admm: operator splitting with an exact w-update (an R x R
+  Cholesky, factored once) and componentwise box clipping for z.
+* solve_reference: exact solve of the reduced box QP.
 
-All solvers start from the zero stencil (projected onto the constraints
-for PG/NAG) and record per-iteration traces of the objective, equality
-residual ||Cw-d||, iterate change, and wall-clock time.
+All solvers start from the zero stencil and record per-iteration traces
+of the objective, skew residual, iterate change in w and wall-clock time.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -29,11 +30,13 @@ import scipy.linalg
 
 from .core import NumericalError
 from .regression import (
-    ConstraintSet,
+    ReducedProblem,
     RegressionSystem,
+    SkewConstraints,
+    lift,
     lipschitz_estimate,
-    objective_and_gradient,
-    project_affine,
+    reduce_problem,
+    skew_coordinates,
 )
 
 PG = "PG"
@@ -42,6 +45,9 @@ ADMM = "ADMM"
 REFERENCE = "REFERENCE"
 
 _DEFAULT_MAX_ITERS = {PG: 500, NAG: 500, ADMM: 100}
+
+# ||P a|| = sqrt(2) ||a||: iterate changes are reported and tested in w
+_W_NORM = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,6 @@ class SolverOptions:
     tol: float = 1e-12
     rho: float = 0.05
     step: float | None = None
-    enforce_box: bool = False
 
     def __post_init__(self):
         if self.max_iters is not None and self.max_iters < 1:
@@ -74,7 +79,9 @@ class SolverOptions:
 
 @dataclass(frozen=True, eq=False)
 class SolverReport:
-    """Traces are aligned: entry k holds the state after iteration k+1."""
+    """Traces are aligned: entry k holds the state after iteration k+1.
+    stop_reason is 'tol' (the stopping test passed), 'max_iters' (the cap
+    was reached first) or 'exact' (the reference solve)."""
 
     w_final: np.ndarray
     objective_trace: np.ndarray
@@ -83,11 +90,13 @@ class SolverReport:
     time_trace: np.ndarray
     iterations: int
     method: str
+    stop_reason: str
 
     def to_dict(self) -> dict:
         return {
             "method": self.method,
             "iterations": self.iterations,
+            "stop_reason": self.stop_reason,
             "w_final": [float(v) for v in self.w_final],
             "objective_trace": [float(v) for v in self.objective_trace],
             "eq_residual_trace": [float(v) for v in self.eq_residual_trace],
@@ -113,219 +122,179 @@ class SolverReport:
 
 
 class _Trace:
-    def __init__(self, method: str):
+    def __init__(self, method: str, prob: ReducedProblem, cs: SkewConstraints):
         self.method = method
-        self.objective: list[float] = []
-        self.residual: list[float] = []
-        self.step_diff: list[float] = []
-        self.elapsed: list[float] = []
+        self.prob = prob
+        self.cs = cs
+        self.rows: list[tuple[float, float, float, float]] = []
         self._t0 = time.perf_counter()
 
-    def record(self, f: float, res: float, diff: float) -> None:
+    def record(self, a: np.ndarray, diff: float) -> None:
+        f = self.prob.objective(a)
         if not np.isfinite(f):
-            raise NumericalError(f"{self.method}: objective became non-finite at iteration {len(self.objective) + 1}")
-        self.objective.append(f)
-        self.residual.append(res)
-        self.step_diff.append(diff)
-        self.elapsed.append(time.perf_counter() - self._t0)
+            raise NumericalError(f"{self.method}: objective became non-finite at iteration {len(self.rows) + 1}")
+        self.rows.append((f, self.cs.residual(lift(a)), diff, time.perf_counter() - self._t0))
 
-    def report(self, w_final: np.ndarray) -> SolverReport:
+    def report(self, a_final: np.ndarray, stop_reason: str) -> SolverReport:
+        objective, residual, step_diff, elapsed = np.array(self.rows).T
         return SolverReport(
-            w_final=np.asarray(w_final, dtype=float).copy(),
-            objective_trace=np.array(self.objective),
-            eq_residual_trace=np.array(self.residual),
-            step_diff_trace=np.array(self.step_diff),
-            time_trace=np.array(self.elapsed),
-            iterations=len(self.objective),
+            w_final=lift(a_final),
+            objective_trace=objective,
+            eq_residual_trace=residual,
+            step_diff_trace=step_diff,
+            time_trace=elapsed,
+            iterations=len(self.rows),
             method=self.method,
+            stop_reason=stop_reason,
         )
+
+
+def _setup(method: str, sys: RegressionSystem, cs: SkewConstraints) -> tuple[ReducedProblem, _Trace]:
+    if cs.R != sys.R:
+        raise ValueError(f"constraints are for radius {cs.R} but the system has radius {sys.R}")
+    prob = reduce_problem(sys)
+    return prob, _Trace(method, prob, cs)
 
 
 def _stepsize(sys: RegressionSystem, opts: SolverOptions) -> float:
+    """Half the step alpha on f: alpha/2 on F(a) = f(P a) takes the same steps."""
     if opts.step is not None:
-        return opts.step
+        return 0.5 * opts.step
     lip = lipschitz_estimate(sys)
-    if lip <= 0.0:
-        return 1.0
-    return 1.0 / lip
+    return 0.5 / lip if lip > 0.0 else 0.5
 
 
-def _reject_box(opts: SolverOptions, method: str) -> None:
-    if opts.enforce_box:
-        raise ValueError(
-            f"{method} enforces only the linear equality constraint; projecting "
-            "sequentially onto the constraint subspace and the box is not the exact "
-            "Euclidean projection onto their intersection. Use solve_admm or "
-            "solve_reference for box-constrained solves."
-        )
-
-
-def solve_pg(sys: RegressionSystem, cs: ConstraintSet, opts: SolverOptions = SolverOptions()) -> SolverReport:
-    """Projected gradient: w <- P(w - alpha grad f(w)). Monotone descent
-    for alpha <= 1/L; every iterate is feasible by construction."""
-    _reject_box(opts, "PG")
-    alpha = _stepsize(sys, opts)
-    w = project_affine(np.zeros(sys.n_coeffs), cs)
-    trace = _Trace(PG)
+def solve_pg(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = SolverOptions()) -> SolverReport:
+    """Projected gradient: a <- clip(a - alpha/2 grad F(a)). Monotone
+    descent for alpha <= 1/L; every iterate is feasible by construction."""
+    prob, trace = _setup(PG, sys, cs)
+    step = _stepsize(sys, opts)
+    a = np.zeros(prob.R)
     for _ in range(opts.resolve_max_iters(PG)):
-        f, grad = objective_and_gradient(sys, w)
-        w_new = project_affine(w - alpha * grad, cs)
-        diff = float(np.linalg.norm(w_new - w))
-        f_new, _ = objective_and_gradient(sys, w_new)
-        trace.record(f_new, cs.residual(w_new), diff)
-        w = w_new
+        a_new = np.clip(a - step * prob.gradient(a), -prob.M, prob.M)
+        diff = _W_NORM * float(np.linalg.norm(a_new - a))
+        trace.record(a_new, diff)
+        a = a_new
         if diff <= opts.tol:
-            break
-    return trace.report(w)
+            return trace.report(a, "tol")
+    return trace.report(a, "max_iters")
 
 
-def solve_nag(sys: RegressionSystem, cs: ConstraintSet, opts: SolverOptions = SolverOptions()) -> SolverReport:
+def solve_nag(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = SolverOptions()) -> SolverReport:
     """Nesterov-accelerated projected gradient with the standard momentum
     schedule t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2, beta_k = (t_k - 1) / t_{k+1},
     t_0 = 1 (the first extrapolation is null). The objective may
     oscillate; stopping uses the projected-gradient mapping."""
-    _reject_box(opts, "NAG")
-    alpha = _stepsize(sys, opts)
-    w = project_affine(np.zeros(sys.n_coeffs), cs)
-    w_prev = w.copy()
+    prob, trace = _setup(NAG, sys, cs)
+    step = _stepsize(sys, opts)
+    a = np.zeros(prob.R)
+    a_prev = a.copy()
     t = 1.0
-    trace = _Trace(NAG)
     for _ in range(opts.resolve_max_iters(NAG)):
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
-        y = w + beta * (w - w_prev)
-        _, grad_y = objective_and_gradient(sys, y)
-        w_new = project_affine(y - alpha * grad_y, cs)
-        f_new, grad_new = objective_and_gradient(sys, w_new)
-        trace.record(f_new, cs.residual(w_new), float(np.linalg.norm(w_new - w)))
-        mapping = float(np.linalg.norm(w_new - project_affine(w_new - alpha * grad_new, cs)))
-        w_prev, w, t = w, w_new, t_next
+        y = a + beta * (a - a_prev)
+        a_new = np.clip(y - step * prob.gradient(y), -prob.M, prob.M)
+        trace.record(a_new, _W_NORM * float(np.linalg.norm(a_new - a)))
+        mapped = np.clip(a_new - step * prob.gradient(a_new), -prob.M, prob.M)
+        mapping = _W_NORM * float(np.linalg.norm(a_new - mapped))
+        a_prev, a, t = a, a_new, t_next
         if mapping <= opts.tol:
-            break
-    return trace.report(w)
+            return trace.report(a, "tol")
+    return trace.report(a, "max_iters")
 
 
 def solve_admm(
     sys: RegressionSystem,
-    cs: ConstraintSet,
+    cs: SkewConstraints,
     opts: SolverOptions = SolverOptions(),
     init: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> SolverReport:
-    """ADMM on the split w = z with Cw = d exact and z box-clipped.
+    """ADMM on the split w = z with w skew and z box-clipped.
 
-    The w-update solves the saddle system
-        [A^T A + (lam + rho) I, C^T; C, 0] [w; eta] = [A^T b + rho (z - u); d],
-    factored once and reused every iteration. Returns the final z, which
-    is feasible for the box by construction. `init` optionally provides
-    (w0, z0, u0); the default is all zeros.
+    In the reduced coordinates the penalty (rho/2)||P(a - z + u)||^2 is
+    rho ||a - z + u||^2, so the w-update solves
+        (H + 2 rho I) a = g + 2 rho (z - u)
+    with a Cholesky factor computed once. Returns the final z, which is
+    feasible for the box by construction. `init` optionally provides
+    skew stencils (w0, z0, u0); the default is all zeros.
     """
-    n = sys.n_coeffs
-    m = cs.n_constraints
-    rho = opts.rho
-    kkt = np.zeros((n + m, n + m))
-    kkt[:n, :n] = sys.gram + (sys.lam + rho) * np.eye(n)
-    kkt[:n, n:] = cs.C.T
-    kkt[n:, :n] = cs.C
+    prob, trace = _setup(ADMM, sys, cs)
+    rho2 = 2.0 * opts.rho
     try:
-        lu = scipy.linalg.lu_factor(kkt)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError("ADMM KKT matrix is singular") from exc
-    if init is None:
-        w = np.zeros(n)
-        z = np.zeros(n)
-        u = np.zeros(n)
-    else:
-        w, z, u = (np.asarray(v, dtype=float).copy() for v in init)
-    rhs = np.zeros(n + m)
-    rhs[n:] = cs.d
-    trace = _Trace(ADMM)
+        chol = np.linalg.cholesky(prob.H + rho2 * np.eye(prob.R))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("ADMM w-update matrix is not positive definite") from exc
+    zeros = (np.zeros(sys.n_coeffs),) * 3
+    a, z, u = (skew_coordinates(v) for v in (zeros if init is None else init))
     for _ in range(opts.resolve_max_iters(ADMM)):
-        rhs[:n] = sys.atb + rho * (z - u)
-        w_new = scipy.linalg.lu_solve(lu, rhs)[:n]
-        z = np.clip(w_new + u, -sys.M, sys.M)
-        u = u + w_new - z
-        diff = float(np.linalg.norm(w_new - w))
-        f, _ = objective_and_gradient(sys, w_new)
-        trace.record(f, cs.residual(w_new), diff)
-        w = w_new
+        a_new = scipy.linalg.cho_solve((chol, True), prob.g + rho2 * (z - u))
+        z = np.clip(a_new + u, -prob.M, prob.M)
+        u = u + a_new - z
+        diff = _W_NORM * float(np.linalg.norm(a_new - a))
+        trace.record(a_new, diff)
+        a = a_new
         if diff <= opts.tol:
-            break
-    return trace.report(z)
+            return trace.report(z, "tol")
+    return trace.report(z, "max_iters")
 
 
-def solve_reference(sys: RegressionSystem, cs: ConstraintSet, opts: SolverOptions = SolverOptions()) -> SolverReport:
-    """Active-set solve of the full equality-plus-box QP to KKT tolerance
-    1e-10. When no box constraint is active this reduces to a single
-    equality-constrained KKT solve. At stencil dimensions (<= 9 unknowns)
-    the method is exact, so it serves as the optimality baseline for the
-    first-order solvers."""
-    n = sys.n_coeffs
-    m = cs.n_constraints
-    H = sys.gram + sys.lam * np.eye(n)
-    M = sys.M
-    kkt_tol = 1e-10
-    w = project_affine(np.zeros(n), cs)
-    if np.max(np.abs(w)) > M + kkt_tol:
-        raise NumericalError("reference solver: projected zero stencil is outside the box")
-    working: list[tuple[int, float]] = []  # (coefficient index, bound sign)
-    trace = _Trace(REFERENCE)
-    cap = 2 ** n
-    for _ in range(cap):
-        k = len(working)
-        kkt = np.zeros((n + m + k, n + m + k))
-        kkt[:n, :n] = H
-        kkt[:n, n:n + m] = cs.C.T
-        kkt[n:n + m, :n] = cs.C
-        for a, (j, _) in enumerate(working):
-            kkt[:n, n + m + a] = np.eye(n)[j]
-            kkt[n + m + a, :n] = np.eye(n)[j]
-        rhs = np.zeros(n + m + k)
-        rhs[:n] = sys.atb - H @ w
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("reference solver: singular KKT system") from exc
-        p = sol[:n]
-        nu = sol[n + m:]
-        if np.linalg.norm(p) <= kkt_tol * (1.0 + np.linalg.norm(w)):
-            # stationary on the working set; check bound multiplier signs
-            worst_idx, worst_val = -1, kkt_tol
-            for a, (j, sign) in enumerate(working):
-                violation = -sign * nu[a]  # multiplier of the inequality must be >= 0
-                if violation > worst_val:
-                    worst_idx, worst_val = a, violation
-            f, _ = objective_and_gradient(sys, w)
-            trace.record(f, cs.residual(w), 0.0)
-            if worst_idx < 0:
-                return trace.report(w)
-            working.pop(worst_idx)
+def _solve_refined(H_ext: np.ndarray, rhs_ext: np.ndarray) -> np.ndarray:
+    """Solve H x = rhs in float64 and take one refinement step with the
+    residual evaluated in extended precision."""
+    H = H_ext.astype(float)
+    x = np.linalg.solve(H, rhs_ext.astype(float))
+    return x + np.linalg.solve(H, (rhs_ext - H_ext @ x).astype(float))
+
+
+def _box_qp(prob: ReducedProblem) -> np.ndarray:
+    """Exact minimizer of the strictly convex F over |a| <= M.
+
+    Each face of the box fixes some coordinates at +-M and leaves the
+    rest free; the minimizer is the stationary point of its own face. If
+    the unconstrained minimizer lies in the box it is the answer.
+    Otherwise every face is solved and the feasible stationary point with
+    the least objective wins: 3^R small solves, with no active-set
+    bookkeeping that could cycle.
+    """
+    M = prob.M
+    a = _solve_refined(prob.H_ext, prob.g_ext)
+    if np.max(np.abs(a)) <= M:
+        return a
+    best, best_f = None, np.inf
+    for signs in itertools.product((-1.0, 0.0, 1.0), repeat=prob.R):
+        fixed = np.array(signs) != 0.0
+        if not fixed.any():
             continue
-        # step to the nearest blocking box constraint
-        alpha = 1.0
-        blocker: tuple[int, float] | None = None
-        active = {j for j, _ in working}
-        for j in range(n):
-            if j in active or abs(p[j]) <= kkt_tol:
+        a = M * np.array(signs)
+        free = ~fixed
+        if free.any():
+            rhs = prob.g_ext[free] - prob.H_ext[np.ix_(free, fixed)] @ a[fixed]
+            a[free] = _solve_refined(prob.H_ext[np.ix_(free, free)], rhs)
+            if np.max(np.abs(a[free])) > M:
                 continue
-            bound = M if p[j] > 0 else -M
-            a_j = (bound - w[j]) / p[j]
-            if a_j < alpha:
-                alpha = max(a_j, 0.0)
-                blocker = (j, np.sign(p[j]))
-        w_new = w + alpha * p
-        if blocker is not None:
-            working.append(blocker)
-            w_new[blocker[0]] = blocker[1] * M  # pin exactly on the bound
-        f, _ = objective_and_gradient(sys, w_new)
-        trace.record(f, cs.residual(w_new), float(np.linalg.norm(w_new - w)))
-        w = w_new
-    raise NumericalError(f"reference solver cycled beyond {cap} active sets")
+        f = prob.objective(a)
+        if f < best_f:
+            best, best_f = a, f
+    return best
+
+
+def solve_reference(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = SolverOptions()) -> SolverReport:
+    """Exact solve of the reduced box QP; the optimality baseline for
+    the first-order solvers. Records a single trace entry."""
+    prob, trace = _setup(REFERENCE, sys, cs)
+    try:
+        a = _box_qp(prob)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("reference solver: singular reduced Hessian") from exc
+    trace.record(a, _W_NORM * float(np.linalg.norm(a)))
+    return trace.report(a, "exact")
 
 
 _SOLVERS = {PG: solve_pg, NAG: solve_nag, ADMM: solve_admm, REFERENCE: solve_reference}
 
 
-def solve(method: str, sys: RegressionSystem, cs: ConstraintSet, opts: SolverOptions = SolverOptions()) -> SolverReport:
+def solve(method: str, sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = SolverOptions()) -> SolverReport:
     """Dispatch by method name (case-insensitive; 'ref' is accepted)."""
     key = method.upper()
     if key == "REF":

@@ -138,8 +138,14 @@ def save_training_set(ts: TrainingSet, path: str | Path) -> None:
     )
 
 
+_FILE_KEYS = ("states", "derivatives", "n_sims", "N", "L", "m_max", "seed", "sigma", "amplitude_std")
+
+
 def load_training_set(path: str | Path) -> TrainingSet:
     with np.load(Path(path)) as data:
+        missing = [key for key in _FILE_KEYS if key not in data]
+        if missing:
+            raise ValueError(f"training file {path} lacks key(s): {', '.join(missing)}")
         cfg = TrainingConfig(
             n_sims=int(data["n_sims"]),
             m_max=int(data["m_max"]),

@@ -23,7 +23,7 @@ from stencil_lab.experiments import (
     run_noisy,
     run_nonstandard,
 )
-from stencil_lab.regression import objective_and_gradient, project_affine
+from stencil_lab.regression import objective_and_gradient
 from stencil_lab.simulate import DenseCNStepper, SimConfig, simulate, single_mode_initial_condition
 from stencil_lab.solvers import ADMM, NAG, PG, REFERENCE, SolverOptions, solve_nag, solve_pg
 from stencil_lab.training import generate_training_set

@@ -41,6 +41,19 @@ class TestPipeline:
         assert abs(stencil["w"][2] - 32.0) / 32.0 < 0.05
         assert (workdir / "learned" / "trace.csv").exists()
         assert (workdir / "learned" / "diagnostics.json").exists()
+        assert json.loads((workdir / "learned" / "solver_report.json").read_text())["stop_reason"] == "tol"
+        assert "warning" not in proc.stderr
+
+    def test_learn_warns_at_iteration_cap(self, workdir):
+        proc = run_cli(
+            "learn", "--method", "nag", "--max-iters", "5",
+            "--data", str(workdir / "training_data.npz"),
+            "--out", str(workdir / "learned_nag"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "warning: NAG stopped at its iteration cap (5)" in proc.stderr
+        report = json.loads((workdir / "learned_nag" / "solver_report.json").read_text())
+        assert report["stop_reason"] == "max_iters"
 
     def test_simulate(self, workdir):
         proc = run_cli(
@@ -133,3 +146,22 @@ class TestExitCodes:
         bad.write_text("{not json")
         proc = run_cli("gen-data", "--config", str(bad), "--out", str(tmp_path))
         assert proc.returncode == 2
+
+    def test_malformed_training_file_is_two(self, tmp_path):
+        np.savez(tmp_path / "bad.npz", states=np.zeros((1, 2, 8)), derivatives=np.zeros((1, 2, 8)))
+        proc = run_cli("learn", "--method", "admm", "--data", str(tmp_path / "bad.npz"), "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr.strip().splitlines() == [proc.stderr.strip()]
+        assert "lacks key(s): n_sims" in proc.stderr
+
+    def test_malformed_stencil_file_is_two(self, tmp_path):
+        (tmp_path / "bad.json").write_text(json.dumps({"w": [1, 0, -1]}))
+        proc = run_cli("simulate", "--stencil", str(tmp_path / "bad.json"), "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == "error: stencil file lacks key(s): R, dx"
+
+    def test_unknown_config_key_is_two(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"foo": 1}))
+        proc = run_cli("experiment", "table1", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == "error: unknown config key(s): foo"

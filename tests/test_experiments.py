@@ -85,7 +85,7 @@ class TestNonstandard:
     def test_target_properties(self, grid):
         w_star = nonstandard_target(grid)
         cs = build_skew_constraints(2)
-        assert np.array_equal(cs.C @ w_star.w, np.zeros(3))
+        assert cs.residual(w_star.w) == 0.0
         D = operator_matrix(w_star, grid.N)
         assert np.array_equal(D.T, -D)
         w_cd4 = fourth_order_centered_difference(grid)
@@ -176,6 +176,14 @@ class TestConfig:
         cfg = ExperimentConfig(name="table1", radius=2, noisy_sigma=0.1)
         clone = ExperimentConfig.from_dict(cfg.to_dict())
         assert clone.to_dict() == cfg.to_dict()
+
+    def test_unknown_keys_rejected(self):
+        data = ExperimentConfig(name="table1").to_dict()
+        data["foo"] = 1
+        data["training"]["bar"] = 2
+        data["solver_opts"]["enforce_box"] = False  # recorded by older manifests
+        with pytest.raises(ValueError, match="foo, training.bar, solver_opts.enforce_box"):
+            ExperimentConfig.from_dict(data)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):

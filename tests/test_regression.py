@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
 from stencil_lab.regression import (
-    ConstraintSet,
     RegressionSystem,
     assemble_regression,
     build_skew_constraints,
     dump_diagnostics,
+    lift,
     lipschitz_estimate,
     objective_and_gradient,
-    project_affine,
+    reduce_problem,
+    skew_coordinates,
 )
 from stencil_lab.training import TrainingConfig, TrainingSet, generate_training_set
 
@@ -76,76 +81,112 @@ class TestAssembly:
             RegressionSystem(A=np.eye(4), b=np.zeros(4))  # even stencil dimension
 
 
+def project(z):
+    """Euclidean projection onto the skew stencils."""
+    return lift(skew_coordinates(z))
+
+
 class TestConstraints:
     def test_r1_layout(self):
+        """The residual is the norm of (w_0, w_{-1} + w_{+1})."""
         cs = build_skew_constraints(1)
-        assert np.array_equal(cs.C, [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-        assert np.array_equal(cs.d, [0.0, 0.0])
+        assert cs.R == 1
+        assert cs.residual(np.array([1.0, 2.0, 5.0])) == np.hypot(2.0, 6.0)
 
     def test_exact_fd_feasible(self):
         cs = build_skew_constraints(1)
-        assert np.array_equal(cs.C @ np.array([-32.0, 0.0, 32.0]), [0.0, 0.0])
+        assert cs.residual(np.array([-32.0, 0.0, 32.0])) == 0.0
 
     def test_symmetric_infeasible(self):
         cs = build_skew_constraints(1)
-        assert np.array_equal(cs.C @ np.ones(3), [1.0, 2.0])
+        assert cs.residual(np.ones(3)) == np.hypot(1.0, 2.0)
 
     @pytest.mark.parametrize("R", [1, 2, 3, 4])
-    def test_full_row_rank(self, R):
+    def test_full_row_rank(self, R, rng):
+        """The R + 1 constraints are independent: the residual vanishes on
+        the R-dimensional skew stencils and on no symmetric direction."""
         cs = build_skew_constraints(R)
-        assert cs.C.shape == (R + 1, 2 * R + 1)
-        assert np.linalg.matrix_rank(cs.C) == R + 1
+        for _ in range(5):
+            assert cs.residual(lift(rng.normal(size=R))) == 0.0
+        center = np.zeros(2 * R + 1)
+        center[R] = 1.0
+        assert cs.residual(center) == 1.0
+        for l in range(1, R + 1):
+            pair = np.zeros(2 * R + 1)
+            pair[R - l] = pair[R + l] = 1.0
+            assert cs.residual(pair) == 2.0
 
-    def test_rank_deficient_rejected(self):
+    def test_validation(self):
         with pytest.raises(ValueError):
-            ConstraintSet(C=np.array([[1.0, 0.0, 1.0], [2.0, 0.0, 2.0]]), d=np.zeros(2))
+            build_skew_constraints(0)
+        with pytest.raises(ValueError):
+            build_skew_constraints(2).residual(np.zeros(3))
 
 
 class TestProjection:
-    def test_feasible_point_fixed(self, constraints_r1, rng):
+    def test_feasible_point_fixed(self):
         z = np.array([-3.0, 0.0, 3.0])
-        assert np.array_equal(project_affine(z, constraints_r1), z)
+        assert np.array_equal(project(z), z)
 
-    def test_hand_computed_example(self, constraints_r1):
-        assert np.allclose(project_affine(np.array([1.0, 2.0, 3.0]), constraints_r1), [-1.0, 0.0, 1.0], atol=1e-15)
+    def test_hand_computed_example(self):
+        assert np.allclose(project(np.array([1.0, 2.0, 3.0])), [-1.0, 0.0, 1.0], atol=1e-15)
 
     def test_matches_antisymmetrization(self, rng):
-        """For the skew constraints the general formula
-        z - C^T (C C^T)^{-1} (C z - d) agrees with the closed form
-        w_l -> (w_l - w_{-l}) / 2 used on the fast path."""
-        cs = build_skew_constraints(2)
-        generic = ConstraintSet(C=cs.C, d=cs.d)  # same constraints, formula path
+        """The projection is componentwise antisymmetrization w_l -> (w_l - w_{-l}) / 2."""
         for _ in range(10):
             z = rng.normal(size=5)
-            p = project_affine(z, cs)
-            p_generic = project_affine(z, generic)
-            assert np.max(np.abs(p - 0.5 * (z - z[::-1]))) <= 1e-13
-            assert np.max(np.abs(p_generic - p)) <= 1e-13
-            assert np.max(np.abs(cs.C @ p)) <= 1e-13
-            assert np.max(np.abs(project_affine(p, cs) - p)) <= 1e-13
+            assert np.array_equal(project(z), 0.5 * (z - z[::-1]))
 
     def test_projection_is_nearest_feasible_point(self, rng):
-        cs = build_skew_constraints(2)
         z = rng.normal(size=5)
-        p = project_affine(z, cs)
+        p = project(z)
         for _ in range(100):
-            y = project_affine(rng.normal(size=5) * 3.0, cs)  # random feasible point
+            y = project(rng.normal(size=5) * 3.0)  # random feasible point
             assert np.linalg.norm(z - p) <= np.linalg.norm(z - y) + 1e-12
 
     def test_projected_operator_is_skew(self, rng):
         from stencil_lab.core import Stencil, operator_matrix
 
-        cs = build_skew_constraints(3)
         for _ in range(5):
-            p = project_affine(rng.normal(size=7), cs)
+            p = project(rng.normal(size=7))
             D = operator_matrix(Stencil(p, 1.0), 16)
             assert np.array_equal(D.T, -D)
 
-    def test_empty_constraints_identity(self):
-        cs = ConstraintSet(C=np.zeros((0, 3)), d=np.zeros(0))
-        z = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(project_affine(z, cs), z)
-        assert cs.residual(z) == 0.0
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda R: arrays(np.float64, 2 * R + 1, elements=st.floats(-1e6, 1e6, allow_nan=False))))
+    def test_idempotent_and_exactly_skew(self, z):
+        p = project(z)
+        assert np.array_equal(project(p), p)
+        assert build_skew_constraints(z.size // 2).residual(p) == 0.0
+        assert np.array_equal(p, -p[::-1])
+
+
+class TestReducedProblem:
+    """F(a) = f(P a): H = P^T (A^T A) P + 2 lam I and g = P^T A^T b."""
+
+    def test_hessian_and_linear_term(self, rng):
+        A = rng.normal(size=(20, 5))
+        sys_ = RegressionSystem(A=A, b=rng.normal(size=20), lam=0.3)
+        P = np.array([lift(e) for e in np.eye(2)]).T
+        prob = reduce_problem(sys_)
+        assert np.allclose(prob.H, P.T @ sys_.gram @ P + 0.6 * np.eye(2), rtol=1e-14, atol=0.0)
+        assert np.allclose(prob.g, P.T @ sys_.atb, rtol=1e-14, atol=0.0)
+        assert np.array_equal(prob.H, prob.H.T)
+        assert prob.M == sys_.M and prob.R == 2
+
+    def test_objective_and_gradient_match_full_space(self, system_r1, rng):
+        prob = reduce_problem(system_r1)
+        for _ in range(5):
+            a = rng.normal(size=1) * 30.0
+            f, grad = objective_and_gradient(system_r1, lift(a))
+            assert prob.objective(a) == pytest.approx(f, rel=1e-10)
+            assert prob.gradient(a) == pytest.approx(grad[2] - grad[0], rel=1e-10)
+
+    def test_skew_coordinates_invert_lift(self, rng):
+        a = rng.normal(size=4)
+        assert np.array_equal(skew_coordinates(lift(a)), a)
+        assert np.array_equal(lift(a)[:4], -a[::-1])
 
 
 class TestObjective:

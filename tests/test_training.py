@@ -121,3 +121,13 @@ class TestPersistence:
         assert np.array_equal(loaded.states, ts.states)
         assert np.array_equal(loaded.derivatives, ts.derivatives)
         assert loaded.config == cfg
+
+    def test_missing_key_rejected(self, grid, tmp_path):
+        ts = generate_training_set(make_config(grid, n_sims=2))
+        path = tmp_path / "train.npz"
+        save_training_set(ts, path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k not in ("n_sims", "seed")}
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="n_sims, seed"):
+            load_training_set(path)
