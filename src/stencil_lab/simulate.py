@@ -127,14 +127,6 @@ class SpectralCNStepper:
         return self.fields(*self.step_modes(*self.load(f)))
 
 
-def cn_step(f: FieldPair, cfg: SimConfig, stepper: DenseCNStepper | SpectralCNStepper | None = None) -> FieldPair:
-    """One Crank-Nicolson step. Pass a prebuilt stepper when stepping in a
-    loop; otherwise the factorization is rebuilt on every call."""
-    if stepper is None:
-        stepper = DenseCNStepper(cfg)
-    return stepper.step(f)
-
-
 def simulate(
     init: FieldPair,
     cfg: SimConfig,

@@ -18,7 +18,6 @@ from stencil_lab.analysis import (
 from stencil_lab.core import (
     FieldPair,
     Grid1D,
-    NumericalError,
     Stencil,
     centered_difference_stencil,
     discrete_energy,
@@ -199,16 +198,14 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError):
             convergence_study(centered_difference_stencil, [64, 32], T=1.0, dt_ratio=0.2)
 
-    def test_partial_results_on_failure(self):
+    def test_stencil_source_error_propagates(self):
         def flaky(grid):
             if grid.N > 32:
                 raise RuntimeError("synthetic failure")
             return centered_difference_stencil(grid)
 
-        with pytest.raises(NumericalError) as excinfo:
+        with pytest.raises(RuntimeError, match="synthetic failure"):
             convergence_study(flaky, [32, 64], T=1.0, dt_ratio=0.2)
-        assert len(excinfo.value.partial_rows) == 1
-        assert excinfo.value.partial_rows[0].N_x == 32
 
 
 class TestCSVWriters:

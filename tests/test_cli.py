@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from stencil_lab.core import save_stencil, Stencil
+from stencil_lab.core import Grid1D, Stencil, centered_difference_stencil, save_stencil
 
 
 def run_cli(*args, cwd=None):
@@ -93,6 +93,26 @@ class TestPipeline:
         proc = run_cli("experiment", "solver-bench", "--out", str(workdir / "bench"))
         assert proc.returncode == 0, proc.stderr
         assert (workdir / "bench" / "manifest.json").exists()
+        # NAG stops at its 500-iteration cap on the default problem
+        assert proc.stderr.startswith("warning: NAG stopped at its iteration cap (500); not converged\n")
+
+    @pytest.mark.parametrize("sub, command", [
+        (".", "gen-data"), ("learned", "learn"), ("sim", "simulate"), ("disp", "dispersion"),
+    ])
+    def test_every_subcommand_writes_manifest(self, workdir, sub, command):
+        root = workdir / sub
+        manifest = json.loads((root / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["outputs"] == sorted(p.name for p in root.iterdir() if p.is_file() and p.name != "manifest.json")
+        assert manifest["config"]["out"] == str(root)
+        assert "config" not in manifest["config"] and "func" not in manifest["config"]
+
+    def test_manifest_records_solve_and_settings(self, workdir):
+        manifest = json.loads((workdir / "learned" / "manifest.json").read_text())
+        assert manifest["solves"] == {"admm": {"method": "ADMM", "iterations": 4, "stop_reason": "tol"}}
+        assert manifest["config"]["radius"] == 1 and manifest["config"]["lam"] == 1e-6
+        gen = json.loads((workdir / "manifest.json").read_text())
+        assert (gen["seed"], gen["config"]["n_sims"]) == (9, 40)
 
 
 class TestConfigFile:
@@ -112,6 +132,38 @@ class TestConfigFile:
         proc = run_cli("gen-data", "--config", str(cfg_file), "--out", str(tmp_path), "--n-sims", "7")
         assert proc.returncode == 0
         assert "7 samples" in proc.stdout
+
+
+    @pytest.mark.parametrize("argv", [
+        ("gen-data",),
+        ("learn", "--method", "admm"),
+        ("simulate", "--stencil", "s.json"),
+        ("dispersion", "--stencil", "s.json"),
+        ("converge",),
+    ])
+    def test_unknown_key_is_two(self, tmp_path, argv):
+        (tmp_path / "cfg.json").write_text(json.dumps({"nsims": 12, "steps": 3, "foo": 1}))
+        proc = run_cli(*argv, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        unknown = "nsims, foo" if argv[0] == "simulate" else "nsims, steps, foo"
+        assert proc.stderr.strip() == f"error: unknown config key(s): {unknown}"
+        assert not (tmp_path / "out").exists()
+
+    def test_file_key_reaches_simulate_and_flag_beats_it(self, tmp_path):
+        save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
+        (tmp_path / "cfg.json").write_text(json.dumps({"steps": 10}))
+
+        def run(*flags):
+            out = tmp_path / f"out{len(flags)}"
+            proc = run_cli("simulate", "--stencil", str(tmp_path / "s.json"), "--config", str(tmp_path / "cfg.json"),
+                           "--out", str(out), *flags)
+            assert proc.returncode == 0, proc.stderr
+            with open(out / "energy.csv") as fh:
+                rows = len(list(csv.DictReader(fh)))
+            return rows, json.loads((out / "manifest.json").read_text())["config"]["steps"]
+
+        assert run() == (11, 10)
+        assert run("--steps", "4") == (5, 4)
 
 
 class TestExitCodes:
@@ -159,6 +211,13 @@ class TestExitCodes:
         proc = run_cli("simulate", "--stencil", str(tmp_path / "bad.json"), "--out", str(tmp_path))
         assert proc.returncode == 2
         assert proc.stderr.strip() == "error: stencil file lacks key(s): R, dx"
+
+    def test_convergence_config_error_is_two(self, tmp_path):
+        # m_max=5 is not resolved on the N=8 grid
+        proc = run_cli("converge", "--resolutions", "8,16", "--t-final", "1", "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr.strip().splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith("error: m_max must satisfy 1 <= m_max < N/2")
 
     def test_unknown_config_key_is_two(self, tmp_path):
         (tmp_path / "cfg.json").write_text(json.dumps({"foo": 1}))

@@ -1,16 +1,21 @@
 import csv
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stencil_lab.core import operator_matrix
 from stencil_lab.experiments import (
     DEFAULT_SEED,
+    EXPERIMENT_NAMES,
     ExperimentConfig,
     default_training_config,
     fourth_order_centered_difference,
     learn_stencil,
+    merge,
     nonstandard_target,
     run_dispersion,
     run_energy,
@@ -135,6 +140,12 @@ class TestNoisy:
             for prefix in ("energy", "final_field", "spacetime"):
                 assert (cfg.output_dir / f"{prefix}_{label}.csv").exists()
 
+    def test_manifest_records_capped_solve(self, noisy):
+        cfg, report = noisy
+        manifest = json.loads((cfg.output_dir / "manifest.json").read_text())
+        assert manifest["solves"] == {"constrained_qp": {"method": "ADMM", "iterations": 100, "stop_reason": "max_iters"}}
+        assert "solves" not in report
+
     def test_requires_positive_sigma(self, tmp_path):
         cfg = ExperimentConfig(name="noisy", noisy_sigma=0.0, output_dir=tmp_path)
         with pytest.raises(ValueError):
@@ -171,11 +182,63 @@ class TestSolverBench:
             assert (cfg.output_dir / f"trace_{method}.csv").exists()
 
 
+@pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+def test_manifest_lists_exactly_the_written_files(name, tmp_path):
+    run_experiment(ExperimentConfig(name=name, output_dir=tmp_path, resolutions=(32, 64), t_final=1.0))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["outputs"] == sorted(p.name for p in tmp_path.iterdir() if p.name != "manifest.json")
+    assert manifest["solves"]
+    assert all(s["stop_reason"] in ("tol", "max_iters", "exact") for s in manifest["solves"].values())
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_config_data = st.fixed_dictionaries({
+    "name": st.sampled_from(EXPERIMENT_NAMES),
+    "training": st.fixed_dictionaries({
+        "n_sims": st.integers(1, 10_000),
+        "m_max": st.integers(1, 5),
+        "grid": st.fixed_dictionaries({"N": st.integers(12, 1 << 20), "L": _finite(1e-6, 1e6)}),
+        "seed": st.integers(0, 2**63),
+        "amplitude_std": _finite(1e-6, 1e3),
+        "noise_std": _finite(0.0, 1e3),
+    }),
+    "radius": st.integers(1, 8),
+    "lam": _finite(0.0, 1.0),
+    "box_bound": _finite(1e-3, 1e9),
+    "solver_opts": st.fixed_dictionaries({
+        "max_iters": st.none() | st.integers(1, 10_000),
+        "tol": _finite(1e-16, 1.0),
+        "rho": _finite(1e-6, 1e3),
+        "step": st.none() | _finite(1e-9, 1e3),
+    }),
+    "n_steps": st.integers(0, 10_000),
+    "resolutions": st.lists(st.integers(3, 4096), max_size=5),
+    "t_final": _finite(1e-3, 1e3),
+    "noisy_sigma": _finite(0.0, 1.0),
+    "output_dir": st.text("ab_-/.", min_size=1, max_size=12),
+})
+
+
 class TestConfig:
-    def test_roundtrip(self):
-        cfg = ExperimentConfig(name="table1", radius=2, noisy_sigma=0.1)
-        clone = ExperimentConfig.from_dict(cfg.to_dict())
-        assert clone.to_dict() == cfg.to_dict()
+    @settings(max_examples=60, deadline=None)
+    @given(data=_config_data)
+    def test_roundtrip(self, data):
+        cfg = ExperimentConfig.from_dict(data)
+        clone = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert asdict(clone) == asdict(cfg)
+        assert clone.training.grid.N == data["training"]["grid"]["N"]
+        assert clone.resolutions == tuple(data["resolutions"])
+
+    def test_merge_keeps_nested_defaults(self):
+        cfg = merge(ExperimentConfig(name="table1"), {"training": {"grid": {"N": 128}}, "radius": 2})
+        assert (cfg.training.grid.N, cfg.training.grid.L, cfg.training.n_sims, cfg.radius) == (128, 1.0, 200, 2)
+
+    def test_merge_names_full_dotted_path(self):
+        with pytest.raises(ValueError, match=r"^unknown config key\(s\): training\.grid\.M, training\.grid\.dx$"):
+            merge(ExperimentConfig(name="table1"), {"training": {"grid": {"M": 1, "N": 32, "dx": 0.1}}})
 
     def test_unknown_keys_rejected(self):
         data = ExperimentConfig(name="table1").to_dict()

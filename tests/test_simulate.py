@@ -13,8 +13,8 @@ from stencil_lab.core import (
     discrete_energy,
 )
 from stencil_lab.simulate import (
+    DenseCNStepper,
     SimConfig,
-    cn_step,
     relative_l2_error,
     simulate,
     single_mode_initial_condition,
@@ -38,7 +38,7 @@ def state_norm(f):
 class TestCNStep:
     def test_zero_fields_fixed_point(self, grid):
         cfg = standard_config(grid)
-        out = cn_step(FieldPair(np.zeros(64), np.zeros(64)), cfg)
+        out = DenseCNStepper(cfg).step(FieldPair(np.zeros(64), np.zeros(64)))
         assert np.max(np.abs(out.E)) == 0.0 and np.max(np.abs(out.H)) == 0.0
 
     def test_single_mode_rotation(self, grid):
@@ -47,7 +47,7 @@ class TestCNStep:
         amplitude exactly preserved."""
         cfg = standard_config(grid)
         init = single_mode_initial_condition(grid)
-        out = cn_step(init, cfg)
+        out = DenseCNStepper(cfg).step(init)
         omega = 64.0 * np.sin(2 * np.pi / 64)  # |mu(theta_1)| for the centered stencil
         r = (1 + 0.5j * cfg.dt * omega) / (1 - 0.5j * cfg.dt * omega)
         p0 = scipy.fft.fft(init.E) + scipy.fft.fft(init.H)
@@ -59,14 +59,14 @@ class TestCNStep:
     def test_skew_step_preserves_norm(self, grid, rng):
         cfg = standard_config(grid)
         f = FieldPair(rng.normal(size=64), rng.normal(size=64))
-        out = cn_step(f, cfg)
+        out = DenseCNStepper(cfg).step(f)
         assert state_norm(out) == pytest.approx(state_norm(f), rel=1e-13)
 
     def test_nonskew_step_changes_norm(self, grid):
         one_sided = Stencil(np.array([0.0, -64.0, 64.0]), grid.dx)
         cfg = standard_config(grid, one_sided)
         init = single_mode_initial_condition(grid)
-        out = cn_step(init, cfg)
+        out = DenseCNStepper(cfg).step(init)
         assert abs(state_norm(out) - state_norm(init)) > 1e-8 * state_norm(init)
 
 
