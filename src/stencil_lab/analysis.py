@@ -12,8 +12,8 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.fft
 
-from .core import FieldPair, Grid1D, Stencil
-from .simulate import SimConfig, relative_l2_error, simulate, traveling_wave_exact
+from .core import FieldPair, Grid1D, Stencil, fourier_symbol
+from .simulate import SimConfig, cn_multiplier, relative_l2_error, simulate, traveling_wave_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,61 +46,18 @@ class ConvergenceRow:
 def symbol(stencil: Stencil, thetas: np.ndarray | Sequence[float]) -> SymbolCurve:
     """Evaluate the stencil's trigonometric symbol at the given angles."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    values = np.exp(1j * np.outer(thetas, stencil.offsets)) @ stencil.w
-    return SymbolCurve(thetas=thetas, values=values)
+    return SymbolCurve(thetas=thetas, values=fourier_symbol(stencil, thetas))
 
 
-def _abs_symbol(stencil: Stencil):
-    offsets = stencil.offsets
-    w = stencil.w
-
-    def f(theta: float) -> float:
-        return abs(np.exp(1j * theta * offsets) @ w)
-
-    return f
-
-
-def _golden_section_max(f, a: float, b: float, tol: float = 1e-13) -> float:
-    """Maximum of a unimodal f on [a, b] by golden-section search."""
-    invphi = 0.5 * (np.sqrt(5.0) - 1.0)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return max(fc, fd, f(0.5 * (a + b)))
-
-
-def max_wave_speed(stencil: Stencil, n_scan: int = 4096) -> float:
-    """c_max = max_theta |mu(theta)|: a dense scan over [-pi, pi] followed
-    by golden-section refinement of every candidate local maximum. A
-    degree-R trig polynomial can have several near-tied peaks closer in
-    value than the scan resolves, so refining only the argmax basin would
-    not honor the 1e-10 accuracy target."""
-    thetas = np.linspace(-np.pi, np.pi, n_scan)
-    mags = np.abs(symbol(stencil, thetas).values)
-    c_grid = float(np.max(mags))
-    if c_grid == 0.0:
-        return 0.0
-    h = thetas[1] - thetas[0]
-    f = _abs_symbol(stencil)
-    # wrap-aware local maxima of the sampled magnitude (ties kept)
-    left = np.roll(mags, 1)
-    right = np.roll(mags, -1)
-    candidates = np.nonzero((mags >= left) & (mags >= right))[0]
-    best = c_grid
-    for i in candidates:
-        if mags[i] < 0.999 * c_grid:
-            continue
-        best = max(best, _golden_section_max(f, thetas[i] - h, thetas[i] + h))
-    return best
+def max_wave_speed(stencil: Stencil) -> float:
+    """c_max = max_theta |mu(theta)|, taken over theta = 0 and the critical
+    points of |mu|^2. With c = correlate(w, w), |mu|^2 = sum_k c_k z^k on
+    z = exp(i theta), so its theta-derivative vanishes at the unit-circle
+    roots of sum_k k c_k z^k; |mu| is evaluated at the angle of every root."""
+    c = np.correlate(stencil.w, stencil.w, "full")
+    k = np.arange(-2 * stencil.R, 2 * stencil.R + 1)
+    thetas = np.concatenate([[0.0], np.angle(np.roots(k * c))])
+    return float(np.max(np.abs(fourier_symbol(stencil, thetas))))
 
 
 def cfl_bound(stencil: Stencil) -> float:
@@ -120,8 +77,7 @@ def cn_dispersion(stencil: Stencil, dt: float, thetas: np.ndarray | Sequence[flo
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if np.any(thetas == 0.0):
         raise ValueError("thetas must be nonzero (phase ratio divides by theta)")
-    lam = symbol(stencil, thetas).values
-    mu_cn = (1.0 + 0.5 * dt * lam) / (1.0 - 0.5 * dt * lam)
+    mu_cn = cn_multiplier(symbol(stencil, thetas).values, dt)
     return DispersionCurves(
         thetas=thetas,
         amplification=np.abs(mu_cn),

@@ -34,7 +34,7 @@ import numpy as np
 
 from .analysis import cfl_bound, cn_dispersion, max_wave_speed, symbol, write_dispersion_csv, write_symbol_csv
 from .core import Grid1D, NumericalError, Stencil, load_stencil, save_stencil
-from .experiments import DEFAULT_SEED, ExperimentConfig, RunDir, run_convergence, run_experiment, simulate_csvs
+from .experiments import DEFAULT_SEED, ExperimentConfig, RunDir, merge, run_convergence, run_experiment, simulate_csvs
 from .regression import assemble_regression, build_skew_constraints, dump_diagnostics
 from .simulate import SimConfig
 from .solvers import SolverOptions, solve
@@ -84,13 +84,33 @@ def _options(args) -> dict:
     return {key: value for key, value in vars(args).items() if key not in _NOT_OPTIONS}
 
 
+def _file_value(action: argparse.Action, value):
+    """A config-file value converted as its option's command-line text
+    would be: numbers by their text, lists as comma lists, null only where
+    the option defaults to unset."""
+    if value is None and action.default is None:
+        return None
+    if isinstance(value, (str, int, float, list)):
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        try:
+            converted = action.type(text) if action.type is not None else text
+        except (ValueError, argparse.ArgumentTypeError):
+            pass
+        else:
+            if action.choices is None or converted in action.choices:
+                return converted
+    raise ValueError(f"config key {action.dest}: invalid value {json.dumps(value)}")
+
+
 def _config_defaults(args) -> dict:
-    """The config file's entries, checked against the subcommand's options."""
+    """The config file's entries, checked against the subcommand's options
+    and converted by each option's type."""
     config = _load_config(args.config)
     unknown = [key for key in config if key not in _options(args)]
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    return config
+    actions = {action.dest: action for action in args.parser._actions}
+    return {key: _file_value(actions[key], value) for key, value in config.items()}
 
 
 def _training_config(args) -> TrainingConfig:
@@ -216,9 +236,9 @@ def _cmd_experiment(args) -> int:
     changes = {**_load_config(args.config), "name": args.name.replace("-", "_")}
     flags = {"output_dir": args.out, "noisy_sigma": args.sigma, "radius": args.radius}
     changes.update({key: value for key, value in flags.items() if value is not None})
-    if args.seed is not None:
-        changes["training"] = {**changes.get("training", {}), "seed": args.seed}
     cfg = ExperimentConfig.from_dict(changes)
+    if args.seed is not None:
+        cfg = merge(cfg, {"training": {"seed": args.seed}})
     report = run_experiment(cfg)
     print(json.dumps(report, indent=2, default=str))
     _warn_capped(_read_manifest(cfg.output_dir)["solves"])

@@ -159,6 +159,12 @@ def operator_matrix(stencil: Stencil, N: int) -> np.ndarray:
     return scipy.linalg.circulant(col)
 
 
+def fourier_symbol(stencil: Stencil, thetas: np.ndarray) -> np.ndarray:
+    """mu(theta) = sum_l w_l exp(i l theta), the eigenvalue of the
+    convolution operator on the Fourier mode exp(i j theta)."""
+    return np.exp(1j * np.outer(thetas, stencil.offsets)) @ stencil.w
+
+
 def inner_product(u: np.ndarray, v: np.ndarray, grid: Grid1D) -> float:
     """Discrete L2 inner product <u, v> = dx * sum_i u_i v_i."""
     u = _check_grid_vector(u, grid, "u")

@@ -54,11 +54,14 @@ def default_training_config(seed: int = DEFAULT_SEED, noise_std: float = 0.0, gr
 
 
 def _unknown_keys(base, changes: dict, prefix: str = "") -> list[str]:
-    # each level's own unknown keys come before those of its nested fields
+    # each level's own unknown keys come before those of its nested fields;
+    # anything but a dict for a nested config is rejected at once
     names = {f.name for f in fields(base)}
     unknown = [prefix + key for key in changes if key not in names]
     for key, value in changes.items():
-        if key in names and is_dataclass(getattr(base, key)) and isinstance(value, dict):
+        if key in names and is_dataclass(getattr(base, key)):
+            if not isinstance(value, dict):
+                raise ValueError(f"config key {prefix}{key} must be an object, got {value!r}")
             unknown += _unknown_keys(getattr(base, key), value, f"{prefix}{key}.")
     return unknown
 
@@ -66,15 +69,16 @@ def _unknown_keys(base, changes: dict, prefix: str = "") -> list[str]:
 def merge(base, changes: dict):
     """Copy of the dataclass instance `base` with `changes` applied. A dict
     given for a dataclass field is merged into that field, so a nested
-    change keeps the other nested values. Raises ValueError naming every
-    unknown key by its dotted path (e.g. training.grid.M)."""
+    change keeps the other nested values; anything but a dict there is
+    rejected. Raises ValueError naming every unknown key by its dotted
+    path (e.g. training.grid.M)."""
     unknown = _unknown_keys(base, changes)
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     updates = {}
     for key, value in changes.items():
         current = getattr(base, key)
-        updates[key] = merge(current, value) if is_dataclass(current) and isinstance(value, dict) else value
+        updates[key] = merge(current, value) if is_dataclass(current) else value
     return replace(base, **updates)
 
 
@@ -233,20 +237,21 @@ def run_table1(cfg: ExperimentConfig) -> dict:
     rows = []
     offsets = [f"w_{l:+d}" if l else "w_0" for l in range(-cfg.radius, cfg.radius + 1)]
 
-    def add_row(label: str, stencil: Stencil | None, status: str = "ok"):
+    def add_row(label: str, stencil: Stencil | None, status: str = "ok", result: SimResult | None = None):
         row: dict = {"method": label, "status": status}
         if stencil is None:
             row.update({name: "" for name in offsets})
             row.update({"err": "", "r_eq": ""})
         else:
             row.update(dict(zip(offsets, (float(v) for v in stencil.w))))
-            result = simulate_csvs(run, cfg.sim_config(stencil))
+            if result is None:
+                result = simulate_csvs(run, cfg.sim_config(stencil))
             row["err"] = relative_l2_error(result.final.E, reference_run.final.E, grid)
             row["r_eq"] = cs.residual(stencil.w)
             row["energy_drift"] = _energy_drift(result)
         rows.append(row)
 
-    add_row("exact_fd", exact)
+    add_row("exact_fd", exact, result=reference_run)
     for method in (PG, NAG, ADMM, REFERENCE):
         label = method.lower()
         try:

@@ -149,6 +149,44 @@ class TestConfigFile:
         assert proc.stderr.strip() == f"error: unknown config key(s): {unknown}"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ({"n_sims": 12.5}, "error: config key n_sims: invalid value 12.5"),
+        ({"n_sims": None}, "error: config key n_sims: invalid value null"),
+        ({"sigma": "lots"}, 'error: config key sigma: invalid value "lots"'),
+        ({"grid_n": [64, 128]}, "error: config key grid_n: invalid value [64, 128]"),
+        ({"m_max": {"value": 3}}, 'error: config key m_max: invalid value {"value": 3}'),
+    ])
+    def test_wrong_value_type_is_two(self, tmp_path, config, message):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        proc = run_cli("gen-data", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == message
+        assert not (tmp_path / "out").exists()
+
+    def test_file_values_take_the_command_line_forms(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"resolutions": [16, 32], "t_final": 1, "max_iters": None}))
+        proc = run_cli("converge", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert (config["resolutions"], config["t_final"]) == ([16, 32], 1.0)
+
+    def test_file_value_outside_choices_is_two(self, tmp_path):
+        save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
+        (tmp_path / "cfg.json").write_text(json.dumps({"engine": "analog"}))
+        proc = run_cli("simulate", "--stencil", str(tmp_path / "s.json"), "--config", str(tmp_path / "cfg.json"),
+                       "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == 'error: config key engine: invalid value "analog"'
+
+    @pytest.mark.parametrize("seed", [(), ("--seed", "3")])
+    def test_experiment_non_object_for_nested_config_is_two(self, tmp_path, seed):
+        (tmp_path / "cfg.json").write_text(json.dumps({"training": 5}))
+        proc = run_cli("experiment", "dispersion", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"),
+                       *seed)
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == "error: config key training must be an object, got 5"
+        assert not (tmp_path / "out").exists()
+
     def test_file_key_reaches_simulate_and_flag_beats_it(self, tmp_path):
         save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
         (tmp_path / "cfg.json").write_text(json.dumps({"steps": 10}))

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stencil_lab.core import operator_matrix
+from stencil_lab import experiments
+from stencil_lab.core import Stencil, operator_matrix
 from stencil_lab.experiments import (
     DEFAULT_SEED,
     EXPERIMENT_NAMES,
@@ -26,6 +27,7 @@ from stencil_lab.experiments import (
     run_table1,
 )
 from stencil_lab.regression import build_skew_constraints
+from stencil_lab.simulate import simulate, single_mode_initial_condition
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +69,18 @@ class TestTable1:
         assert float(by_method["admm"]["w_+1"]) == pytest.approx(
             next(r for r in report["rows"] if r["method"] == "admm")["w_+1"]
         )
+
+
+def test_table1_runs_each_stencil_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(init, cfg, *args, **kwargs):
+        calls.append(cfg.stencil.w)
+        return simulate(init, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "simulate", counting)
+    run_table1(ExperimentConfig(name="table1", output_dir=tmp_path))
+    assert len(calls) == 5  # the exact stencil, then one per solver
 
 
 class TestDeterminism:
@@ -122,6 +136,12 @@ class TestNoisy:
         assert ls["status"] == "ok"
         assert ls["constraint_residual"] > 0.1
         assert ls["energy_ratio"] >= 10.0
+
+    def test_unconstrained_blows_up_on_spectral_engine_too(self, noisy):
+        cfg, report = noisy
+        ls = Stencil(np.array(report["runs"]["unconstrained_ls"]["coefficients"]), cfg.training.grid.dx)
+        result = simulate(single_mode_initial_condition(cfg.training.grid), cfg.sim_config(ls), engine="spectral")
+        assert result.energy_series[-1] / result.energy_series[0] >= 10.0
 
     def test_constrained_stays_stable(self, noisy):
         _, report = noisy
@@ -239,6 +259,15 @@ class TestConfig:
     def test_merge_names_full_dotted_path(self):
         with pytest.raises(ValueError, match=r"^unknown config key\(s\): training\.grid\.M, training\.grid\.dx$"):
             merge(ExperimentConfig(name="table1"), {"training": {"grid": {"M": 1, "N": 32, "dx": 0.1}}})
+
+    @pytest.mark.parametrize("changes, path", [
+        ({"training": 5}, "training"),
+        ({"training": {"grid": [64, 1.0]}}, "training.grid"),
+        ({"solver_opts": None}, "solver_opts"),
+    ])
+    def test_merge_rejects_non_object_for_nested_config(self, changes, path):
+        with pytest.raises(ValueError, match=rf"^config key {path} must be an object"):
+            merge(ExperimentConfig(name="table1"), changes)
 
     def test_unknown_keys_rejected(self):
         data = ExperimentConfig(name="table1").to_dict()

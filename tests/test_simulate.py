@@ -3,6 +3,8 @@ import csv
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stencil_lab.core import (
     FieldPair,
@@ -31,6 +33,11 @@ def standard_config(grid, stencil=None, dt_ratio=0.5, n_steps=300):
     return SimConfig(dt=dt_ratio * grid.dx, n_steps=n_steps, grid=grid, stencil=stencil)
 
 
+def dense_step(cfg, f):
+    stepper = DenseCNStepper(cfg)
+    return stepper.fields(stepper.advance(stepper.load(f)))
+
+
 def state_norm(f):
     return np.sqrt(np.sum(f.E**2) + np.sum(f.H**2))
 
@@ -38,7 +45,7 @@ def state_norm(f):
 class TestCNStep:
     def test_zero_fields_fixed_point(self, grid):
         cfg = standard_config(grid)
-        out = DenseCNStepper(cfg).step(FieldPair(np.zeros(64), np.zeros(64)))
+        out = dense_step(cfg, FieldPair(np.zeros(64), np.zeros(64)))
         assert np.max(np.abs(out.E)) == 0.0 and np.max(np.abs(out.H)) == 0.0
 
     def test_single_mode_rotation(self, grid):
@@ -47,7 +54,7 @@ class TestCNStep:
         amplitude exactly preserved."""
         cfg = standard_config(grid)
         init = single_mode_initial_condition(grid)
-        out = DenseCNStepper(cfg).step(init)
+        out = dense_step(cfg, init)
         omega = 64.0 * np.sin(2 * np.pi / 64)  # |mu(theta_1)| for the centered stencil
         r = (1 + 0.5j * cfg.dt * omega) / (1 - 0.5j * cfg.dt * omega)
         p0 = scipy.fft.fft(init.E) + scipy.fft.fft(init.H)
@@ -59,14 +66,14 @@ class TestCNStep:
     def test_skew_step_preserves_norm(self, grid, rng):
         cfg = standard_config(grid)
         f = FieldPair(rng.normal(size=64), rng.normal(size=64))
-        out = DenseCNStepper(cfg).step(f)
+        out = dense_step(cfg, f)
         assert state_norm(out) == pytest.approx(state_norm(f), rel=1e-13)
 
     def test_nonskew_step_changes_norm(self, grid):
         one_sided = Stencil(np.array([0.0, -64.0, 64.0]), grid.dx)
         cfg = standard_config(grid, one_sided)
         init = single_mode_initial_condition(grid)
-        out = DenseCNStepper(cfg).step(init)
+        out = dense_step(cfg, init)
         assert abs(state_norm(out) - state_norm(init)) > 1e-8 * state_norm(init)
 
 
@@ -118,6 +125,26 @@ class TestSimulate:
         assert np.max(np.abs(dense.final.H - spectral.final.H)) <= 1e-12 * scale
         assert np.max(np.abs(dense.energy_series - spectral.energy_series)) <= 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 4), extra_cells=st.integers(0, 120),
+           dt_ratio=st.floats(0.05, 4.0), backward=st.booleans(), n_steps=st.integers(0, 60))
+    def test_random_skew_stencils_conserve_and_engines_agree(self, seed, R, extra_cells, dt_ratio, backward, n_steps):
+        rng = np.random.default_rng(seed)
+        grid = Grid1D(N=2 * R + 1 + extra_cells)
+        half = rng.uniform(-1.0, 1.0, size=R) / grid.dx
+        stencil = Stencil(np.concatenate([-half[::-1], [0.0], half]), grid.dx)
+        cfg = standard_config(grid, stencil, dt_ratio=-dt_ratio if backward else dt_ratio, n_steps=n_steps)
+        init = FieldPair(rng.normal(size=grid.N), rng.normal(size=grid.N))
+        dense = simulate(init, cfg, engine="dense")
+        spectral = simulate(init, cfg, engine="spectral")
+        e0 = dense.energy_series[0]
+        for result in (dense, spectral):
+            assert np.max(np.abs(result.energy_series - e0)) / e0 <= 1e-11
+        scale = np.max(np.abs(dense.final.E))
+        assert np.max(np.abs(dense.final.E - spectral.final.E)) <= 1e-12 * scale
+        assert np.max(np.abs(dense.final.H - spectral.final.H)) <= 1e-12 * scale
+        assert np.max(np.abs(dense.energy_series - spectral.energy_series)) <= 1e-12
+
     def test_snapshots(self, grid):
         result = simulate(single_mode_initial_condition(grid), standard_config(grid, n_steps=12), snapshot_every=5)
         assert result.snapshot_steps == [0, 5, 10, 12]
@@ -127,6 +154,13 @@ class TestSimulate:
         bad = Stencil(np.array([-120.0, 0.0, -120.0]), grid.dx)  # symmetric: strongly non-skew
         with pytest.raises(NumericalError, match="non-finite"):
             simulate(single_mode_initial_condition(grid), standard_config(grid, bad, n_steps=400))
+
+    @pytest.mark.parametrize("engine", ["dense", "spectral"])
+    def test_nonfinite_init_rejected(self, grid, engine):
+        E = np.sin(2 * np.pi * grid.x)
+        E[3] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            simulate(FieldPair(E, np.zeros(64)), standard_config(grid, n_steps=0), engine=engine)
 
     def test_mismatched_init_rejected(self, grid):
         with pytest.raises(ValueError):
