@@ -10,9 +10,8 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.fft
 
-from .core import FieldPair, Grid1D, Stencil, fourier_symbol
+from .core import FieldPair, Grid1D, Stencil, fourier_symbol, real_fft
 from .simulate import SimConfig, cn_multiplier, relative_l2_error, simulate, traveling_wave_exact
 
 
@@ -97,8 +96,8 @@ def modal_energies(f: FieldPair, grid: Grid1D) -> np.ndarray:
     discrete energy."""
     if f.N != grid.N:
         raise ValueError(f"fields have length {f.N}, grid has N={grid.N}")
-    Ef = scipy.fft.fft(f.E, norm="ortho")
-    Hf = scipy.fft.fft(f.H, norm="ortho")
+    Ef = real_fft(f.E, ortho=True)
+    Hf = real_fft(f.H, ortho=True)
     return 0.5 * grid.dx * (np.abs(Ef) ** 2 + np.abs(Hf) ** 2)
 
 

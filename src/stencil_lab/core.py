@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 
 class NumericalError(RuntimeError):
@@ -156,13 +155,28 @@ def operator_matrix(stencil: Stencil, N: int) -> np.ndarray:
     for l in range(1, R + 1):
         col[l] = stencil.w[R - l]       # w_{-l}
         col[N - l] = stencil.w[R + l]   # w_{+l}
-    return scipy.linalg.circulant(col)
+    # row i is col[i], col[i-1], ..., wrapping: the length-N window of
+    # (col reversed, then col[N-1..1]) that starts at N-1-i
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([col[::-1], col[:0:-1]]), N)
+    return windows[::-1].copy()
 
 
 def fourier_symbol(stencil: Stencil, thetas: np.ndarray) -> np.ndarray:
     """mu(theta) = sum_l w_l exp(i l theta), the eigenvalue of the
     convolution operator on the Fourier mode exp(i j theta)."""
     return np.exp(1j * np.outer(thetas, stencil.offsets)) @ stencil.w
+
+
+def real_fft(u: np.ndarray, ortho: bool = False) -> np.ndarray:
+    """Full DFT of a real vector, bit-identical to scipy.fft.fft(u) (or to
+    its norm="ortho" form): numpy's rfft plus the Hermitian fill, with the
+    1/sqrt(N) factor rounded from long double as pocketfft does."""
+    N = u.size
+    r = np.fft.rfft(u)
+    f = np.concatenate([r, np.conj(r[1:(N + 1) // 2][::-1])])
+    if ortho:
+        f *= float(1 / np.sqrt(np.longdouble(N)))
+    return f
 
 
 def inner_product(u: np.ndarray, v: np.ndarray, grid: Grid1D) -> float:

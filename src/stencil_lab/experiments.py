@@ -15,6 +15,8 @@ import csv
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -53,16 +55,34 @@ def default_training_config(seed: int = DEFAULT_SEED, noise_std: float = 0.0, gr
     )
 
 
+def _fits(hint, value) -> bool:
+    """Whether a JSON value fits a config field's type; an int is taken
+    for a float, a list for a tuple and a string for a Path."""
+    if isinstance(hint, UnionType):
+        return any(_fits(arg, value) for arg in get_args(hint))
+    if get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(get_args(hint)[0], v) for v in value)
+    if isinstance(value, bool):  # a JSON true is a Python int
+        return hint is bool
+    return isinstance(value, {float: (int, float), Path: (str, Path)}.get(hint, hint))
+
+
 def _unknown_keys(base, changes: dict, prefix: str = "") -> list[str]:
     # each level's own unknown keys come before those of its nested fields;
-    # anything but a dict for a nested config is rejected at once
-    names = {f.name for f in fields(base)}
-    unknown = [prefix + key for key in changes if key not in names]
+    # anything but a dict for a nested config, or a value of the wrong type
+    # for any other field, is rejected at once
+    hints = get_type_hints(type(base))
+    written = {f.name: f.type for f in fields(base)}  # the annotations as source text
+    unknown = [prefix + key for key in changes if key not in hints]
     for key, value in changes.items():
-        if key in names and is_dataclass(getattr(base, key)):
+        if key not in hints:
+            continue
+        if is_dataclass(getattr(base, key)):
             if not isinstance(value, dict):
                 raise ValueError(f"config key {prefix}{key} must be an object, got {value!r}")
             unknown += _unknown_keys(getattr(base, key), value, f"{prefix}{key}.")
+        elif not _fits(hints[key], value):
+            raise ValueError(f"config key {prefix}{key}: invalid value {value!r} (expected {written[key]})")
     return unknown
 
 
@@ -70,8 +90,9 @@ def merge(base, changes: dict):
     """Copy of the dataclass instance `base` with `changes` applied. A dict
     given for a dataclass field is merged into that field, so a nested
     change keeps the other nested values; anything but a dict there is
-    rejected. Raises ValueError naming every unknown key by its dotted
-    path (e.g. training.grid.M)."""
+    rejected, and so is a value that does not fit its field's type.
+    Raises ValueError naming every unknown key by its dotted path (e.g.
+    training.grid.M)."""
     unknown = _unknown_keys(base, changes)
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")

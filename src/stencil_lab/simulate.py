@@ -28,10 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
 
-from .core import FieldPair, Grid1D, NumericalError, Stencil, discrete_energy, fourier_symbol, norm, operator_matrix
+from .core import FieldPair, Grid1D, NumericalError, Stencil, discrete_energy, fourier_symbol, norm, operator_matrix, real_fft
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,11 +64,25 @@ def cn_multiplier(mu: np.ndarray, dt: float) -> np.ndarray:
     return (1.0 + 0.5 * dt * mu) / (1.0 - 0.5 * dt * mu)
 
 
+def _cn_symbol(cfg: SimConfig) -> np.ndarray:
+    """The stencil's symbol at the grid's Fourier angles: the eigenvalues
+    of D, so +-mu are those of B. Raises NumericalError when a CN
+    denominator 1 -+ dt mu/2 is zero, i.e. the CN system is singular."""
+    mu = fourier_symbol(cfg.stencil, 2.0 * np.pi * np.fft.fftfreq(cfg.grid.N))
+    half_mu = 0.5 * cfg.dt * mu
+    if np.any((half_mu == 1.0) | (half_mu == -1.0)):
+        raise NumericalError("Crank-Nicolson system matrix is singular for this stencil and dt")
+    return mu
+
+
 class DenseCNStepper:
     """LU-factored Crank-Nicolson step for the 2N-dimensional system; the
-    state is U = (E, H)."""
+    state is U = (E, H). scipy.linalg is imported here, on first use."""
 
     def __init__(self, cfg: SimConfig):
+        _cn_symbol(cfg)  # a singular system raises here, not as a LinAlgWarning from lu_factor
+        from scipy.linalg import lu_factor, lu_solve
+
         N = cfg.grid.N
         D = operator_matrix(cfg.stencil, N)
         B = np.zeros((2 * N, 2 * N))
@@ -78,8 +90,8 @@ class DenseCNStepper:
         B[N:, :N] = D
         half = 0.5 * cfg.dt
         self._rhs_mat = np.eye(2 * N) + half * B
-        # a singular matrix only warns here; its first step is then non-finite
-        self._lu = scipy.linalg.lu_factor(np.eye(2 * N) - half * B)
+        self._lu = lu_factor(np.eye(2 * N) - half * B)
+        self._lu_solve = lu_solve
         self._grid = cfg.grid
 
     def load(self, f: FieldPair) -> np.ndarray:
@@ -88,7 +100,7 @@ class DenseCNStepper:
     def advance(self, u: np.ndarray) -> np.ndarray:
         # check_finite=False: let an unstable (non-skew) run blow up visibly
         # instead of dying inside scipy; simulate() reports it per step
-        return scipy.linalg.lu_solve(self._lu, self._rhs_mat @ u, check_finite=False)
+        return self._lu_solve(self._lu, self._rhs_mat @ u, check_finite=False)
 
     def energy(self, u: np.ndarray) -> float:
         return discrete_energy(self.fields(u), self._grid)
@@ -108,18 +120,15 @@ class SpectralCNStepper:
 
     def __init__(self, cfg: SimConfig):
         grid = cfg.grid
-        mu = fourier_symbol(cfg.stencil, 2.0 * np.pi * scipy.fft.fftfreq(grid.N))
-        half_mu = 0.5 * cfg.dt * mu
-        if np.any((half_mu == 1.0) | (half_mu == -1.0)):  # a zero CN denominator for +mu or -mu
-            raise NumericalError("Crank-Nicolson system matrix is singular for this stencil and dt")
+        mu = _cn_symbol(cfg)
         self._mult_p = cn_multiplier(mu, cfg.dt)
         self._mult_q = cn_multiplier(-mu, cfg.dt)
         self._dx = grid.dx
         self._N = grid.N
 
     def load(self, f: FieldPair) -> tuple[np.ndarray, np.ndarray]:
-        Ef = scipy.fft.fft(f.E)
-        Hf = scipy.fft.fft(f.H)
+        Ef = real_fft(f.E)
+        Hf = real_fft(f.H)
         return Ef + Hf, Ef - Hf
 
     def advance(self, state: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -133,8 +142,8 @@ class SpectralCNStepper:
 
     def fields(self, state: tuple[np.ndarray, np.ndarray]) -> FieldPair:
         p, q = state
-        E = scipy.fft.ifft(0.5 * (p + q)).real
-        H = scipy.fft.ifft(0.5 * (p - q)).real
+        E = np.fft.ifft(0.5 * (p + q)).real
+        H = np.fft.ifft(0.5 * (p - q)).real
         return FieldPair(E=E, H=H)
 
 

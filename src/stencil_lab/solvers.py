@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .core import NumericalError
 from .regression import (
@@ -219,6 +218,8 @@ def solve_admm(
     feasible for the box by construction. `init` optionally provides
     skew stencils (w0, z0, u0); the default is all zeros.
     """
+    from scipy.linalg import cho_solve  # loaded on first use, like the dense CN engine's LU
+
     prob, trace = _setup(ADMM, sys, cs)
     rho2 = 2.0 * opts.rho
     try:
@@ -228,7 +229,7 @@ def solve_admm(
     zeros = (np.zeros(sys.n_coeffs),) * 3
     a, z, u = (skew_coordinates(v) for v in (zeros if init is None else init))
     for _ in range(opts.resolve_max_iters(ADMM)):
-        a_new = scipy.linalg.cho_solve((chol, True), prob.g + rho2 * (z - u))
+        a_new = cho_solve((chol, True), prob.g + rho2 * (z - u))
         z = np.clip(a_new + u, -prob.M, prob.M)
         u = u + a_new - z
         diff = _W_NORM * float(np.linalg.norm(a_new - a))

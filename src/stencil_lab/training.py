@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.fft
 
 from .core import Grid1D, Stencil, apply_stencil
 
@@ -74,11 +73,11 @@ def spectral_derivative(u: np.ndarray, grid: Grid1D) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.N,):
         raise ValueError(f"u has shape {u.shape}, expected ({grid.N},)")
-    k = 2.0 * np.pi * scipy.fft.rfftfreq(grid.N, d=grid.dx)
+    k = 2.0 * np.pi * np.fft.rfftfreq(grid.N, d=grid.dx)
     mult = 1j * k
     if grid.N % 2 == 0:
         mult[-1] = 0.0
-    return scipy.fft.irfft(mult * scipy.fft.rfft(u), n=grid.N)
+    return np.fft.irfft(mult * np.fft.rfft(u), n=grid.N)
 
 
 def _sample_fields(rng: np.random.Generator, cfg: TrainingConfig) -> np.ndarray:

@@ -187,6 +187,17 @@ class TestConfigFile:
         assert proc.stderr.strip() == "error: config key training must be an object, got 5"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("config, message", [
+        ({"n_steps": 12.5}, "error: config key n_steps: invalid value 12.5 (expected int)"),
+        ({"training": {"n_sims": "many"}}, "error: config key training.n_sims: invalid value 'many' (expected int)"),
+    ])
+    def test_experiment_wrong_value_type_is_two(self, tmp_path, config, message):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        proc = run_cli("experiment", "energy", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == message
+        assert not (tmp_path / "out").exists()
+
     def test_file_key_reaches_simulate_and_flag_beats_it(self, tmp_path):
         save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
         (tmp_path / "cfg.json").write_text(json.dumps({"steps": 10}))

@@ -1,6 +1,7 @@
 import csv
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +269,26 @@ class TestConfig:
     def test_merge_rejects_non_object_for_nested_config(self, changes, path):
         with pytest.raises(ValueError, match=rf"^config key {path} must be an object"):
             merge(ExperimentConfig(name="table1"), changes)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"n_steps": 12.5}, "n_steps: invalid value 12.5 (expected int)"),
+        ({"n_steps": True}, "n_steps: invalid value True (expected int)"),
+        ({"lam": "small"}, "lam: invalid value 'small' (expected float)"),
+        ({"resolutions": [64, 128.5]}, "resolutions: invalid value [64, 128.5] (expected tuple[int, ...])"),
+        ({"output_dir": 3}, "output_dir: invalid value 3 (expected Path)"),
+        ({"training": {"grid": {"N": "64"}}}, "training.grid.N: invalid value '64' (expected int)"),
+        ({"solver_opts": {"max_iters": 2.0}}, "solver_opts.max_iters: invalid value 2.0 (expected int | None)"),
+    ])
+    def test_merge_rejects_wrong_scalar_type(self, changes, message):
+        with pytest.raises(ValueError) as info:
+            merge(ExperimentConfig(name="table1"), changes)
+        assert str(info.value) == f"config key {message}"
+
+    def test_merge_accepts_json_forms_of_field_types(self):
+        changes = {"lam": 1, "resolutions": [32, 64], "output_dir": "out", "solver_opts": {"max_iters": None, "step": 2}}
+        cfg = merge(ExperimentConfig(name="table1"), changes)
+        assert (cfg.lam, cfg.resolutions, cfg.output_dir) == (1, (32, 64), Path("out"))
+        assert (cfg.solver_opts.max_iters, cfg.solver_opts.step) == (None, 2)
 
     def test_unknown_keys_rejected(self):
         data = ExperimentConfig(name="table1").to_dict()

@@ -156,6 +156,14 @@ class TestSimulate:
             simulate(single_mode_initial_condition(grid), standard_config(grid, bad, n_steps=400))
 
     @pytest.mark.parametrize("engine", ["dense", "spectral"])
+    @pytest.mark.parametrize("n_steps", [0, 3])
+    def test_singular_cn_system_rejected(self, grid, engine, n_steps):
+        # w_0 = 256 gives mu = 256 on every mode, so 1 - dt mu / 2 = 0 at dt = 1/128
+        cfg = SimConfig(dt=1.0 / 128, n_steps=n_steps, grid=grid, stencil=Stencil(np.array([0.0, 256.0, 0.0]), grid.dx))
+        with pytest.raises(NumericalError, match="singular"):
+            simulate(single_mode_initial_condition(grid), cfg, engine=engine)
+
+    @pytest.mark.parametrize("engine", ["dense", "spectral"])
     def test_nonfinite_init_rejected(self, grid, engine):
         E = np.sin(2 * np.pi * grid.x)
         E[3] = np.inf
