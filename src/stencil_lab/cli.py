@@ -168,7 +168,7 @@ def _cmd_learn(args) -> int:
     dump_diagnostics(system, run.path("diagnostics.json"))
     print(f"method={report.method} iterations={report.iterations} stop_reason={report.stop_reason}")
     print(f"w = {stencil.w}")
-    print(f"objective = {report.objective_trace[-1]:.12g}  eq_residual = {report.eq_residual_trace[-1]:.3e}")
+    print(f"objective = {report.objective_trace[-1]:.12g}")
     return _announce(run.root, run.finish())
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
+from math import factorial, lcm
 from pathlib import Path
 
 import numpy as np
@@ -200,7 +202,12 @@ def discrete_energy(fields: FieldPair, grid: Grid1D) -> float:
     return 0.5 * inner_product(fields.E, fields.E, grid) + 0.5 * inner_product(fields.H, fields.H, grid)
 
 
-def centered_difference_stencil(grid: Grid1D) -> Stencil:
-    """Second-order centered difference, w = (-1, 0, 1) / (2 dx)."""
-    h = grid.dx
-    return Stencil(w=np.array([-1.0, 0.0, 1.0]) / (2.0 * h), dx=h)
+def centered_difference_stencil(grid: Grid1D, R: int = 1) -> Stencil:
+    """Centered difference of order 2R: w_{+l} = -w_{-l} =
+    (-1)^(l+1) (R!)^2 / (l (R-l)! (R+l)!) / dx. The coefficients are
+    integer numerators over q dx, with q the least common denominator, so
+    R=1 gives (-1, 0, 1) / (2 dx) and R=2 (1, -8, 0, 8, -1) / (12 dx)."""
+    c = [Fraction((-1) ** (l + 1) * factorial(R) ** 2, l * factorial(R - l) * factorial(R + l)) for l in range(1, R + 1)]
+    q = lcm(*(f.denominator for f in c))
+    a = np.array([float(f * q) for f in c])
+    return Stencil(w=np.concatenate([-a[::-1], [0.0], a]) / (q * grid.dx), dx=grid.dx)

@@ -175,32 +175,6 @@ def objective_and_gradient(sys: RegressionSystem, w: np.ndarray) -> tuple[float,
     return f, grad
 
 
-def lipschitz_estimate(sys: RegressionSystem, min_iters: int = 30, max_iters: int = 500) -> float:
-    """Upper bound on ||A^T A||_2 + lam: power iteration on the Gram
-    matrix (at least min_iters sweeps, continued until the Rayleigh
-    quotient stabilizes) followed by a 1.01 safety factor. Clustered top
-    eigenvalues converge slowly, hence the adaptive tail."""
-    G = sys.gram
-    if G.size == 0:
-        raise ValueError("empty system")
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(G.shape[0])
-    v /= np.linalg.norm(v)
-    rayleigh = 0.0
-    for k in range(max_iters):
-        gv = G @ v
-        nrm = np.linalg.norm(gv)
-        if nrm == 0.0:
-            return sys.lam
-        new_rayleigh = float(v @ gv)
-        v = gv / nrm
-        if k >= min_iters and abs(new_rayleigh - rayleigh) <= 1e-12 * abs(new_rayleigh):
-            rayleigh = new_rayleigh
-            break
-        rayleigh = new_rayleigh
-    return 1.01 * rayleigh + sys.lam
-
-
 def dump_diagnostics(sys: RegressionSystem, path: str | Path) -> dict:
     """Write system dimensions and the Gram matrix to JSON."""
     info = {

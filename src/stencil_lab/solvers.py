@@ -9,11 +9,11 @@ projection onto the feasible set.
   variant. The step alpha/2 on F(a) = f(P a) is the step alpha = 1/L on f
   followed by the projection onto the skew stencils.
 * solve_admm: operator splitting with an exact w-update (an R x R
-  Cholesky, factored once) and componentwise box clipping for z.
+  linear solve) and componentwise box clipping for z.
 * solve_reference: exact solve of the reduced box QP.
 
 All solvers start from the zero stencil and record per-iteration traces
-of the objective, skew residual, iterate change in w and wall-clock time.
+of the objective, iterate change in w and wall-clock time.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .regression import (
     RegressionSystem,
     SkewConstraints,
     lift,
-    lipschitz_estimate,
     reduce_problem,
     skew_coordinates,
 )
@@ -47,6 +46,10 @@ _DEFAULT_MAX_ITERS = {PG: 500, NAG: 500, ADMM: 100}
 
 # ||P a|| = sqrt(2) ||a||: iterate changes are reported and tested in w
 _W_NORM = np.sqrt(2.0)
+
+# (SolverReport field, trace-CSV column) of each per-iteration trace, in
+# the order _Trace records them
+_TRACES = (("objective_trace", "objective"), ("step_diff_trace", "step_diff"), ("time_trace", "elapsed_s"))
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,6 @@ class SolverReport:
 
     w_final: np.ndarray
     objective_trace: np.ndarray
-    eq_residual_trace: np.ndarray
     step_diff_trace: np.ndarray
     time_trace: np.ndarray
     iterations: int
@@ -97,10 +99,7 @@ class SolverReport:
             "iterations": self.iterations,
             "stop_reason": self.stop_reason,
             "w_final": [float(v) for v in self.w_final],
-            "objective_trace": [float(v) for v in self.objective_trace],
-            "eq_residual_trace": [float(v) for v in self.eq_residual_trace],
-            "step_diff_trace": [float(v) for v in self.step_diff_trace],
-            "time_trace": [float(v) for v in self.time_trace],
+            **{name: [float(v) for v in getattr(self, name)] for name, _ in _TRACES},
         }
 
     def save_json(self, path: str | Path) -> None:
@@ -109,39 +108,29 @@ class SolverReport:
     def save_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["iter", "objective", "eq_residual", "step_diff", "elapsed_s"])
+            writer.writerow(["iter", *(column for _, column in _TRACES)])
+            traces = [getattr(self, name) for name, _ in _TRACES]
             for k in range(self.iterations):
-                writer.writerow([
-                    k + 1,
-                    repr(float(self.objective_trace[k])),
-                    repr(float(self.eq_residual_trace[k])),
-                    repr(float(self.step_diff_trace[k])),
-                    repr(float(self.time_trace[k])),
-                ])
+                writer.writerow([k + 1, *(repr(float(t[k])) for t in traces)])
 
 
 class _Trace:
-    def __init__(self, method: str, prob: ReducedProblem, cs: SkewConstraints):
+    def __init__(self, method: str, prob: ReducedProblem):
         self.method = method
         self.prob = prob
-        self.cs = cs
-        self.rows: list[tuple[float, float, float, float]] = []
+        self.rows: list[tuple[float, float, float]] = []
         self._t0 = time.perf_counter()
 
     def record(self, a: np.ndarray, diff: float) -> None:
         f = self.prob.objective(a)
         if not np.isfinite(f):
             raise NumericalError(f"{self.method}: objective became non-finite at iteration {len(self.rows) + 1}")
-        self.rows.append((f, self.cs.residual(lift(a)), diff, time.perf_counter() - self._t0))
+        self.rows.append((f, diff, time.perf_counter() - self._t0))
 
     def report(self, a_final: np.ndarray, stop_reason: str) -> SolverReport:
-        objective, residual, step_diff, elapsed = np.array(self.rows).T
         return SolverReport(
             w_final=lift(a_final),
-            objective_trace=objective,
-            eq_residual_trace=residual,
-            step_diff_trace=step_diff,
-            time_trace=elapsed,
+            **{name: trace for (name, _), trace in zip(_TRACES, np.array(self.rows).T)},
             iterations=len(self.rows),
             method=self.method,
             stop_reason=stop_reason,
@@ -152,14 +141,16 @@ def _setup(method: str, sys: RegressionSystem, cs: SkewConstraints) -> tuple[Red
     if cs.R != sys.R:
         raise ValueError(f"constraints are for radius {cs.R} but the system has radius {sys.R}")
     prob = reduce_problem(sys)
-    return prob, _Trace(method, prob, cs)
+    return prob, _Trace(method, prob)
 
 
 def _stepsize(sys: RegressionSystem, opts: SolverOptions) -> float:
-    """Half the step alpha on f: alpha/2 on F(a) = f(P a) takes the same steps."""
+    """Half the step alpha on f: alpha/2 on F(a) = f(P a) takes the same
+    steps. The default alpha is 1/L with L = ||A^T A||_2 + lam, the exact
+    Lipschitz constant of grad f."""
     if opts.step is not None:
         return 0.5 * opts.step
-    lip = lipschitz_estimate(sys)
+    lip = np.linalg.eigvalsh(sys.gram)[-1] + sys.lam
     return 0.5 / lip if lip > 0.0 else 0.5
 
 
@@ -213,23 +204,18 @@ def solve_admm(
 
     In the reduced coordinates the penalty (rho/2)||P(a - z + u)||^2 is
     rho ||a - z + u||^2, so the w-update solves
-        (H + 2 rho I) a = g + 2 rho (z - u)
-    with a Cholesky factor computed once. Returns the final z, which is
-    feasible for the box by construction. `init` optionally provides
-    skew stencils (w0, z0, u0); the default is all zeros.
+        (H + 2 rho I) a = g + 2 rho (z - u),
+    an R x R system. Returns the final z, which is feasible for the box
+    by construction. `init` optionally provides skew stencils (w0, z0,
+    u0); the default is all zeros.
     """
-    from scipy.linalg import cho_solve  # loaded on first use, like the dense CN engine's LU
-
     prob, trace = _setup(ADMM, sys, cs)
     rho2 = 2.0 * opts.rho
-    try:
-        chol = np.linalg.cholesky(prob.H + rho2 * np.eye(prob.R))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("ADMM w-update matrix is not positive definite") from exc
+    K = prob.H + rho2 * np.eye(prob.R)
     zeros = (np.zeros(sys.n_coeffs),) * 3
     a, z, u = (skew_coordinates(v) for v in (zeros if init is None else init))
     for _ in range(opts.resolve_max_iters(ADMM)):
-        a_new = cho_solve((chol, True), prob.g + rho2 * (z - u))
+        a_new = np.linalg.solve(K, prob.g + rho2 * (z - u))
         z = np.clip(a_new + u, -prob.M, prob.M)
         u = u + a_new - z
         diff = _W_NORM * float(np.linalg.norm(a_new - a))

@@ -198,6 +198,14 @@ class TestConfigFile:
         assert proc.stderr.strip() == message
         assert not (tmp_path / "out").exists()
 
+    def test_experiment_manifest_records_int_for_float_as_float(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"lam": 1, "training": {"noise_std": 0}}))
+        proc = run_cli("experiment", "dispersion", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
+        assert (config["lam"], config["training"]["noise_std"]) == (1.0, 0.0)
+        assert type(config["lam"]) is type(config["training"]["noise_std"]) is float
+
     def test_file_key_reaches_simulate_and_flag_beats_it(self, tmp_path):
         save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
         (tmp_path / "cfg.json").write_text(json.dumps({"steps": 10}))

@@ -168,6 +168,21 @@ class TestCenteredDifference:
         for N in (8, 64, 100):
             assert centered_difference_stencil(Grid1D(N=N)).is_skew()
 
+    def test_integer_numerators(self, grid):
+        assert np.array_equal(centered_difference_stencil(grid, 2).w, np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * grid.dx))
+        assert np.array_equal(centered_difference_stencil(grid, 3).w,
+                              np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / (60.0 * grid.dx))
+
+    @pytest.mark.parametrize("R", [1, 2, 3, 4])
+    def test_order_2R(self, grid, R):
+        """Exact on polynomials of degree <= 2R, not on degree 2R+1: the
+        moments sum_l w_l dx l^m are delta_{m1} for m <= 2R."""
+        s = centered_difference_stencil(grid, R)
+        terms = s.w[None, :] * grid.dx * s.offsets[None, :] ** np.arange(2 * R + 2)[:, None]
+        moments = terms.sum(axis=1)
+        assert np.allclose(moments[:-1], np.eye(2 * R + 1)[1], rtol=0.0, atol=1e-13 * np.abs(terms).sum())
+        assert abs(moments[-1]) >= 1.0
+
 
 class TestSkewEquivalence:
     """The skew constraints hold exactly when the operator matrix is skew-symmetric."""

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stencil_lab import experiments
-from stencil_lab.core import Stencil, operator_matrix
+from stencil_lab.analysis import symbol, write_symbol_csv
+from stencil_lab.core import Stencil, centered_difference_stencil, operator_matrix
 from stencil_lab.experiments import (
     DEFAULT_SEED,
     EXPERIMENT_NAMES,
     ExperimentConfig,
     default_training_config,
-    fourth_order_centered_difference,
     learn_stencil,
     merge,
     nonstandard_target,
@@ -108,7 +108,7 @@ class TestNonstandard:
         assert cs.residual(w_star.w) == 0.0
         D = operator_matrix(w_star, grid.N)
         assert np.array_equal(D.T, -D)
-        w_cd4 = fourth_order_centered_difference(grid)
+        w_cd4 = centered_difference_stencil(grid, 2)
         assert np.linalg.norm(w_star.w - w_cd4.w) > 0.1 * np.linalg.norm(w_star.w)
 
     def test_recovery(self, tmp_path):
@@ -189,6 +189,24 @@ class TestEnergyAndDispersion:
             assert err <= 1e-13
         assert (cfg.output_dir / "dispersion_learned.csv").exists()
         assert (cfg.output_dir / "symbol_centered.csv").exists()
+
+
+class TestRadius3:
+    """table1 and dispersion compare against the centered difference of
+    the configured radius, here the sixth-order one."""
+
+    def test_table1(self, tmp_path, grid):
+        report = run_table1(ExperimentConfig(name="table1", radius=3, output_dir=tmp_path))
+        exact = report["rows"][0]
+        assert exact["method"] == "exact_fd" and exact["r_eq"] == 0.0
+        assert [exact[f"w_{l:+d}" if l else "w_0"] for l in range(-3, 4)] == list(centered_difference_stencil(grid, 3).w)
+        assert all(row["status"] == "ok" for row in report["rows"])
+
+    def test_dispersion(self, tmp_path, grid):
+        run_dispersion(ExperimentConfig(name="dispersion", radius=3, output_dir=tmp_path / "disp"))
+        thetas = np.linspace(-np.pi, np.pi, 2 * 512)
+        write_symbol_csv(symbol(centered_difference_stencil(grid, 3), thetas), tmp_path / "sixth.csv")
+        assert (tmp_path / "disp" / "symbol_centered.csv").read_bytes() == (tmp_path / "sixth.csv").read_bytes()
 
 
 class TestSolverBench:
@@ -289,6 +307,8 @@ class TestConfig:
         cfg = merge(ExperimentConfig(name="table1"), changes)
         assert (cfg.lam, cfg.resolutions, cfg.output_dir) == (1, (32, 64), Path("out"))
         assert (cfg.solver_opts.max_iters, cfg.solver_opts.step) == (None, 2)
+        # an int given for a float (or float | None) field is stored as a float
+        assert (type(cfg.lam), type(cfg.solver_opts.step), type(cfg.resolutions[0])) == (float, float, int)
 
     def test_unknown_keys_rejected(self):
         data = ExperimentConfig(name="table1").to_dict()

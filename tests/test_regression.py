@@ -11,7 +11,6 @@ from stencil_lab.regression import (
     build_skew_constraints,
     dump_diagnostics,
     lift,
-    lipschitz_estimate,
     objective_and_gradient,
     reduce_problem,
     skew_coordinates,
@@ -227,23 +226,6 @@ class TestObjective:
     def test_dimension_check(self, system_r1):
         with pytest.raises(ValueError):
             objective_and_gradient(system_r1, np.zeros(5))
-
-
-class TestLipschitz:
-    def test_identity(self):
-        sys_ = RegressionSystem(A=np.eye(3), b=np.zeros(3), lam=0.0, M=1.0)
-        assert lipschitz_estimate(sys_) == pytest.approx(1.01, rel=1e-10)
-
-    def test_scaled_identity_with_ridge(self):
-        sys_ = RegressionSystem(A=3 * np.eye(3), b=np.zeros(3), lam=1.0, M=1.0)
-        assert lipschitz_estimate(sys_) == pytest.approx(9 * 1.01 + 1, rel=1e-10)
-
-    def test_upper_bounds_top_eigenvalue(self, rng):
-        for _ in range(5):
-            A = rng.normal(size=(12, 5))
-            sys_ = RegressionSystem(A=A, b=rng.normal(size=12), lam=0.3, M=1.0)
-            top = np.linalg.eigvalsh(sys_.gram).max()
-            assert lipschitz_estimate(sys_) >= top + 0.3
 
 
 def test_diagnostics_dump(system_r1, tmp_path):
