@@ -292,7 +292,7 @@ def run_table1(cfg: ExperimentConfig) -> dict:
         writer.writeheader()
         writer.writerows(rows)
 
-    report = {"rows": rows, "system_shape": [int(v) for v in system.A.shape]}
+    report = {"rows": rows, "system_shape": [system.rows, system.n_coeffs]}
     run.finish(report)
     return report
 

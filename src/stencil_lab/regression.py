@@ -1,11 +1,22 @@
-"""Least-squares system assembly, the skew-symmetry constraints, and the
+"""Least-squares statistics, the skew-symmetry constraints, and the
 skew-reduced problem the solvers work on.
 
-The design matrix A stacks one row per (sample, field, grid index): the
-row holds the periodic patch (u_{i-R}, ..., u_{i+R}) and the target is
-the corresponding time derivative at index i. Because A has at most 2R+1
-columns, the Gram matrix A^T A and A^T b are precomputed once; every
-solver iteration then costs O(R^2) regardless of the number of rows.
+The regression fits a radius-R stencil w so that, for every (sample,
+field, grid index), the periodic patch (u_{i-R}, ..., u_{i+R}) times w
+gives the time derivative at index i. Those patches are the rows of a
+design matrix A with 2 n_sims N rows and 2R+1 columns, and the
+derivatives form b. Because the stencil is a periodic convolution, the
+least-squares problem needs only
+
+    (A^T A)[j, k] = r(|k - j|),  r(d) = sum_s sum_i u_s[i] u_s[(i + d) mod N],
+    (A^T b)[j]    = sum_s sum_i u_s[(i + j - R) mod N] v_s[i],
+    b^T b         = sum_s sum_i v_s[i]^2,
+
+the Toeplitz matrix of the fields' periodic autocorrelation, their
+cross-correlation with the targets, and the targets' energy.
+assemble_regression computes these 2(2R+1) lag dot products from the
+training fields directly; A and b are gathered only when read. Every
+solver iteration costs O(R^2) regardless of the number of rows.
 
 Skew-adjointness (w_0 = 0, w_{-l} = -w_{+l}) is the only linear
 constraint. It is eliminated by the parametrization w = P a with free
@@ -17,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -27,36 +39,70 @@ from .training import TrainingSet
 @dataclass(frozen=True, eq=False)
 class RegressionSystem:
     """Tikhonov-regularized least squares min (1/2)||Aw-b||^2 + (lam/2)||w||^2
-    with box bound |w_l| <= M."""
+    with box bound |w_l| <= M, held as A^T A, A^T b and b^T b.
 
-    A: np.ndarray
-    b: np.ndarray
+    A and b are readable: a system from from_dense keeps the matrices it
+    was given, and one from assemble_regression gathers them from its
+    training set on first read (cached).
+    """
+
+    gram: np.ndarray          # A^T A
+    atb: np.ndarray           # A^T b
+    btb: float                # b^T b
+    rows: int                 # rows of A
     lam: float = 1e-6
     M: float = 100.0
-    gram: np.ndarray = field(init=False)      # A^T A
-    atb: np.ndarray = field(init=False)       # A^T b
-    btb: float = field(init=False)            # b^T b
+    training: TrainingSet | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if A.ndim != 2 or b.shape != (A.shape[0],):
-            raise ValueError(f"need A (rows x n) and matching b, got {A.shape} and {b.shape}")
-        if A.shape[1] % 2 == 0:
-            raise ValueError(f"stencil dimension must be odd (2R+1), got {A.shape[1]}")
+        gram = np.asarray(self.gram, dtype=float)
+        atb = np.asarray(self.atb, dtype=float)
+        if atb.ndim != 1 or gram.shape != (atb.size, atb.size):
+            raise ValueError(f"need a square gram and matching atb, got {gram.shape} and {atb.shape}")
+        if atb.size % 2 == 0:
+            raise ValueError(f"stencil dimension must be odd (2R+1), got {atb.size}")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
         if self.M <= 0:
             raise ValueError("box bound M must be positive")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "gram", A.T @ A)
-        object.__setattr__(self, "atb", A.T @ b)
-        object.__setattr__(self, "btb", float(b @ b))
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "atb", atb)
+
+    @classmethod
+    def from_dense(cls, A, b, lam: float = 1e-6, M: float = 100.0) -> "RegressionSystem":
+        """The system of an explicit design matrix A (rows x n) and targets b."""
+        A = np.asarray(A, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if A.ndim != 2 or b.shape != (A.shape[0],):
+            raise ValueError(f"need A (rows x n) and matching b, got {A.shape} and {b.shape}")
+        system = cls(gram=A.T @ A, atb=A.T @ b, btb=float(b @ b), rows=A.shape[0], lam=lam, M=M)
+        system.__dict__.update(A=A, b=b)
+        return system
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """The design matrix, one row per (sample, field, grid index):
+        sample-major, all H rows (targets dE/dt) before all E rows (targets
+        dH/dt), grid index ascending, each holding the patch
+        (u_{i-R}, ..., u_{i+R})."""
+        ts, R = self._source(), self.R
+        N = ts.config.grid.N
+        idx = (np.arange(N)[:, None] + np.arange(-R, R + 1)[None, :]) % N  # (i, j) -> (i + j - R) mod N
+        return ts.states[:, ::-1][:, :, idx].reshape(-1, 2 * R + 1)
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        """The targets, one per row of A."""
+        return self._source().derivatives.reshape(-1).copy()
+
+    def _source(self) -> TrainingSet:
+        if self.training is None:
+            raise ValueError("this system holds no training set to build A and b from")
+        return self.training
 
     @property
     def n_coeffs(self) -> int:
-        return self.A.shape[1]
+        return self.gram.shape[0]
 
     @property
     def R(self) -> int:
@@ -64,24 +110,26 @@ class RegressionSystem:
 
 
 def assemble_regression(ts: TrainingSet, R: int, lam: float = 1e-6, M: float = 100.0) -> RegressionSystem:
-    """Stack patch rows and derivative targets into (A, b).
-
-    Row order is deterministic: sample-major, all H-patch rows (targets
-    dE/dt) before all E-patch rows (targets dH/dt), grid index ascending.
-    """
-    grid = ts.config.grid
-    N = grid.N
+    """A^T A, A^T b and b^T b of the patch rows and derivative targets (see
+    RegressionSystem.A) as periodic lag dot products of the training
+    fields, without forming A. The sums run over the same products as
+    A.T @ A and A.T @ b in another order, so they agree to roundoff."""
+    N = ts.config.grid.N
     if R < 1:
         raise ValueError(f"stencil radius must be >= 1, got {R}")
     if N < 2 * R + 1:
         raise ValueError(f"grid N={N} too small for radius R={R} (need N >= {2 * R + 1})")
-    # idx[i, j] = (i + j - R) mod N maps grid index i and column j to the patch entry
-    idx = (np.arange(N)[:, None] + np.arange(-R, R + 1)[None, :]) % N
-    # field order (H, E) per sample, matching targets (dE/dt, dH/dt)
-    patches = ts.states[:, [1, 0], :][:, :, idx]                # (n, 2, N, 2R+1)
-    A = patches.reshape(-1, 2 * R + 1)
-    b = ts.derivatives[:, [0, 1], :].reshape(-1)
-    return RegressionSystem(A=A, b=b, lam=lam, M=M)
+    # Pair the fields in storage order: X[s, 0] = E with dH/dt, X[s, 1] = H with
+    # dE/dt. The row order does not change a sum, and X needs no copy for vdot.
+    X = np.ascontiguousarray(ts.states)
+    Y = ts.derivatives[:, ::-1]
+    lags = np.array([np.vdot(X, np.roll(X, -d, axis=-1)) for d in range(2 * R + 1)])
+    k = np.arange(2 * R + 1)
+    gram = lags[np.abs(k[:, None] - k[None, :])]
+    # (A^T b)[j] = sum_i u[i + j - R] v[i] = sum_i u[i] v[i - (j - R)]
+    atb = np.array([np.vdot(X, np.roll(Y, j - R, axis=-1)) for j in range(2 * R + 1)])
+    btb = float(np.vdot(ts.derivatives, ts.derivatives))
+    return RegressionSystem(gram=gram, atb=atb, btb=btb, rows=X.size, lam=lam, M=M, training=ts)
 
 
 @dataclass(frozen=True)
@@ -178,8 +226,8 @@ def objective_and_gradient(sys: RegressionSystem, w: np.ndarray) -> tuple[float,
 def dump_diagnostics(sys: RegressionSystem, path: str | Path) -> dict:
     """Write system dimensions and the Gram matrix to JSON."""
     info = {
-        "rows": int(sys.A.shape[0]),
-        "cols": int(sys.A.shape[1]),
+        "rows": sys.rows,
+        "cols": sys.n_coeffs,
         "lambda": sys.lam,
         "box_bound": sys.M,
         "gram": [[float(v) for v in row] for row in sys.gram],

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from stencil_lab.core import Grid1D
 from stencil_lab.regression import (
     RegressionSystem,
     assemble_regression,
@@ -20,6 +23,7 @@ from stencil_lab.training import TrainingConfig, TrainingSet, generate_training_
 
 class TestAssembly:
     def test_dimensions(self, system_r1):
+        assert system_r1.rows == 2 * 200 * 64 and system_r1.n_coeffs == 3
         assert system_r1.A.shape == (2 * 200 * 64, 3)
         assert system_r1.b.shape == (25600,)
 
@@ -73,11 +77,81 @@ class TestAssembly:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            RegressionSystem(A=np.eye(3), b=np.zeros(3), lam=-1.0)
+            RegressionSystem.from_dense(np.eye(3), np.zeros(3), lam=-1.0)
         with pytest.raises(ValueError):
-            RegressionSystem(A=np.eye(3), b=np.zeros(3), M=0.0)
+            RegressionSystem.from_dense(np.eye(3), np.zeros(3), M=0.0)
         with pytest.raises(ValueError):
-            RegressionSystem(A=np.eye(4), b=np.zeros(4))  # even stencil dimension
+            RegressionSystem.from_dense(np.eye(4), np.zeros(4))  # even stencil dimension
+        with pytest.raises(ValueError):
+            RegressionSystem.from_dense(np.eye(3), np.zeros(2))
+        with pytest.raises(ValueError):
+            RegressionSystem(gram=np.eye(3), atb=np.zeros(2), btb=0.0, rows=3)
+        with pytest.raises(ValueError, match="no training set"):
+            RegressionSystem(gram=np.eye(3), atb=np.zeros(3), btb=0.0, rows=3).A
+
+    def test_from_dense_keeps_its_matrices(self, rng):
+        A, b = rng.normal(size=(7, 3)), rng.normal(size=7)
+        sys_ = RegressionSystem.from_dense(A, b)
+        assert sys_.rows == 7 and np.array_equal(sys_.A, A) and np.array_equal(sys_.b, b)
+        assert np.array_equal(sys_.gram, A.T @ A) and np.array_equal(sys_.atb, A.T @ b)
+
+
+def loop_design(ts: TrainingSet, R: int) -> tuple[np.ndarray, np.ndarray]:
+    """The design matrix and targets by their definition, one row at a time:
+    sample-major, H rows (target dE/dt) before E rows (target dH/dt),
+    row i holding the periodic patch (u_{i-R}, ..., u_{i+R})."""
+    N = ts.config.grid.N
+    rows, targets = [], []
+    for states, derivs in zip(ts.states, ts.derivatives):
+        for u, v in ((states[1], derivs[0]), (states[0], derivs[1])):
+            for i in range(N):
+                rows.append([u[(i + j) % N] for j in range(-R, R + 1)])
+                targets.append(v[i])
+    return np.array(rows), np.array(targets)
+
+
+class TestLagCorrelations:
+    """assemble_regression sums the products of A.T @ A, A.T @ b and b @ b
+    as periodic lag dot products, in another order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(R=st.integers(1, 5), extra=st.integers(0, 70 - 11), n_sims=st.integers(1, 5),
+           m_max=st.integers(1, 34), noisy=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(R=1, extra=0, n_sims=1, m_max=1, noisy=False, seed=0)   # N = 3
+    @example(R=5, extra=0, n_sims=2, m_max=5, noisy=True, seed=1)    # N = 11, odd
+    @example(R=2, extra=1, n_sims=3, m_max=2, noisy=False, seed=2)   # N = 6, even
+    def test_match_the_design_matrix(self, R, extra, n_sims, m_max, noisy, seed):
+        N = 2 * R + 1 + extra
+        cfg = TrainingConfig(n_sims=n_sims, m_max=min(m_max, (N - 1) // 2), grid=Grid1D(N=N),
+                             seed=seed, noise_std=0.1 if noisy else 0.0)
+        ts = generate_training_set(cfg)
+        A, b = loop_design(ts, R)
+        dense = RegressionSystem.from_dense(A, b)
+        sys_ = assemble_regression(ts, R=R)
+        assert sys_.rows == dense.rows and sys_.n_coeffs == 2 * R + 1
+        # |gram| <= r(0) and |atb| <= sqrt(r(0) btb) (Cauchy-Schwarz) set each entry's scale
+        r0, btb = dense.gram[0, 0], dense.btb
+        assert np.max(np.abs(sys_.gram - dense.gram)) <= 1e-13 * r0
+        assert np.max(np.abs(sys_.atb - dense.atb)) <= 1e-13 * np.sqrt(r0 * btb)
+        assert abs(sys_.btb - btb) <= 1e-13 * btb
+        assert np.array_equal(sys_.A, A) and np.array_equal(sys_.b, b)
+
+    def test_design_matrix_is_never_built(self):
+        """Assembly at N = 4096 holds far less than A's bytes, and A
+        appears only when read."""
+        R = 3
+        ts = generate_training_set(TrainingConfig(n_sims=8, m_max=5, grid=Grid1D(N=4096), seed=0))
+        tracemalloc.start()
+        try:
+            sys_ = assemble_regression(ts, R=R)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        design_bytes = sys_.rows * (2 * R + 1) * 8
+        assert peak < design_bytes / 4
+        assert "A" not in vars(sys_)
+        assert sys_.A.shape == (sys_.rows, 2 * R + 1)
+        assert "A" in vars(sys_)
 
 
 def project(z):
@@ -166,7 +240,7 @@ class TestReducedProblem:
 
     def test_hessian_and_linear_term(self, rng):
         A = rng.normal(size=(20, 5))
-        sys_ = RegressionSystem(A=A, b=rng.normal(size=20), lam=0.3)
+        sys_ = RegressionSystem.from_dense(A, rng.normal(size=20), lam=0.3)
         P = np.array([lift(e) for e in np.eye(2)]).T
         prob = reduce_problem(sys_)
         assert np.allclose(prob.H, P.T @ sys_.gram @ P + 0.6 * np.eye(2), rtol=1e-14, atol=0.0)

@@ -128,10 +128,10 @@ def random_system(seed, R, box_scale=None):
     b = rng.normal(size=n + 10) * 5.0
     lam = float(rng.uniform(0.0, 0.5))
     if box_scale is None:
-        return RegressionSystem(A=A, b=b, lam=lam, M=1e6)
-    prob = reduce_problem(RegressionSystem(A=A, b=b, lam=lam))
+        return RegressionSystem.from_dense(A, b, lam=lam, M=1e6)
+    prob = reduce_problem(RegressionSystem.from_dense(A, b, lam=lam))
     a_free = np.linalg.solve(prob.H, prob.g)
-    return RegressionSystem(A=A, b=b, lam=lam, M=box_scale * float(np.max(np.abs(a_free))))
+    return RegressionSystem.from_dense(A, b, lam=lam, M=box_scale * float(np.max(np.abs(a_free))))
 
 
 def assert_kkt(sys, w, tol=1e-9):
@@ -150,12 +150,12 @@ def assert_kkt(sys, w, tol=1e-9):
 
 class TestProjectedGradient:
     def test_feasible_unconstrained_minimum(self):
-        sys_ = RegressionSystem(A=np.eye(3), b=np.array([1.0, 0.0, -1.0]), lam=0.0, M=10.0)
+        sys_ = RegressionSystem.from_dense(np.eye(3), np.array([1.0, 0.0, -1.0]), lam=0.0, M=10.0)
         rep = solve_pg(sys_, build_skew_constraints(1))
         assert np.allclose(rep.w_final, [1.0, 0.0, -1.0], atol=1e-10)
 
     def test_symmetric_target_projects_to_zero(self):
-        sys_ = RegressionSystem(A=np.eye(3), b=np.ones(3), lam=0.0, M=10.0)
+        sys_ = RegressionSystem.from_dense(np.eye(3), np.ones(3), lam=0.0, M=10.0)
         rep = solve_pg(sys_, build_skew_constraints(1))
         assert np.allclose(rep.w_final, 0.0, atol=1e-10)
 
@@ -171,7 +171,7 @@ class TestProjectedGradient:
         s = np.array([0.5, 2.0, 9.0, 4.0, 1.0])
         Q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
         A = np.sqrt(s)[:, None] * Q.T  # A^T A = Q diag(s) Q^T
-        sys_ = RegressionSystem(A=A, b=rng.normal(size=5), lam=0.25, M=M)
+        sys_ = RegressionSystem.from_dense(A, rng.normal(size=5), lam=0.25, M=M)
         alpha = 1.0 / (9.0 + 0.25)
         g = reduce_problem(sys_).g
         rep = solve_pg(sys_, build_skew_constraints(2), SolverOptions(max_iters=1))
@@ -186,7 +186,7 @@ class TestProjectedGradient:
         assert np.all(diffs <= slack)
 
     def test_box_enforced(self):
-        sys_ = RegressionSystem(A=np.eye(3), b=np.array([10.0, 0.0, -10.0]), lam=1e-3, M=2.0)
+        sys_ = RegressionSystem.from_dense(np.eye(3), np.array([10.0, 0.0, -10.0]), lam=1e-3, M=2.0)
         rep = solve_pg(sys_, build_skew_constraints(1))
         assert np.array_equal(rep.w_final, [2.0, 0.0, -2.0])
         assert rep.stop_reason == "tol"
@@ -208,7 +208,7 @@ class TestNesterov:
 
     def test_scalar_strongly_convex(self):
         """At R = 1 the reduced problem is scalar: F(a) = (2a - 4)^2 / 2."""
-        sys_ = RegressionSystem(A=np.array([[-1.0, 0.0, 1.0]]), b=np.array([4.0]), lam=0.0, M=100.0)
+        sys_ = RegressionSystem.from_dense(np.array([[-1.0, 0.0, 1.0]]), np.array([4.0]), lam=0.0, M=100.0)
         rep = solve_nag(sys_, build_skew_constraints(1), SolverOptions(max_iters=2000, tol=1e-15))
         assert np.max(np.abs(rep.w_final - [-2.0, 0.0, 2.0])) <= 1e-10
 
@@ -255,7 +255,7 @@ class TestADMM:
         for _ in range(10):
             A = rng.normal(size=(30, 5))
             b = rng.normal(size=30) * 3.0
-            sys_ = RegressionSystem(A=A, b=b, lam=1e-3, M=1000.0)
+            sys_ = RegressionSystem.from_dense(A, b, lam=1e-3, M=1000.0)
             cs = build_skew_constraints(2)
             w_admm = solve_admm(sys_, cs, SolverOptions(max_iters=3000, tol=1e-15, rho=1.0)).w_final
             w_ref = solve_reference(sys_, cs).w_final
@@ -268,13 +268,13 @@ class TestReference:
         for _ in range(5):
             A = rng.normal(size=(40, 5))
             b = rng.normal(size=40)
-            sys_ = RegressionSystem(A=A, b=b, lam=1e-3, M=1e6)
+            sys_ = RegressionSystem.from_dense(A, b, lam=1e-3, M=1e6)
             rep = solve_reference(sys_, build_skew_constraints(2))
             w_direct = direct_equality_kkt(sys_)
             assert np.max(np.abs(rep.w_final - w_direct)) <= 1e-12 * max(1.0, np.max(np.abs(w_direct)))
 
     def test_box_active_agrees_with_admm(self):
-        sys_ = RegressionSystem(A=np.eye(3), b=np.array([10.0, 0.0, -10.0]), lam=1e-3, M=2.0)
+        sys_ = RegressionSystem.from_dense(np.eye(3), np.array([10.0, 0.0, -10.0]), lam=1e-3, M=2.0)
         cs = build_skew_constraints(1)
         rep_ref = solve_reference(sys_, cs)
         rep_admm = solve_admm(sys_, cs, SolverOptions(max_iters=5000, tol=1e-15, rho=1.0))
@@ -289,7 +289,7 @@ class TestReference:
         free."""
         A = np.diag([1.0, 1.0, 1.0, 1.0, 1.0])
         b = np.array([5.0, -1.0, 0.0, 1.0, -5.0])
-        sys_ = RegressionSystem(A=A, b=b, lam=0.0, M=3.0)
+        sys_ = RegressionSystem.from_dense(A, b, lam=0.0, M=3.0)
         rep = solve_reference(sys_, build_skew_constraints(2))
         assert np.allclose(rep.w_final, [3.0, -1.0, 0.0, 1.0, -3.0], atol=1e-10)
 
