@@ -5,8 +5,8 @@
     stencil-lab simulate    Crank-Nicolson run for a saved stencil
     stencil-lab dispersion  symbol and CN dispersion curves for a stencil
     stencil-lab converge    re-learn per resolution and tabulate errors
-    stencil-lab experiment  scripted presets (table1, nonstandard, noisy,
-                            solver-bench, energy)
+    stencil-lab experiment  scripted presets (table1, convergence, energy,
+                            dispersion, nonstandard, noisy, solver-bench)
 
 Global flags: --config FILE (JSON overrides), --seed, --out DIR.
 

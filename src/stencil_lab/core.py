@@ -181,6 +181,15 @@ def real_fft(u: np.ndarray, ortho: bool = False) -> np.ndarray:
     return f
 
 
+def solve_refined(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve A x = b in float64 and take one step of iterative refinement,
+    with the residual evaluated in the precision of A and b. The step also
+    repairs the error that pivot growth leaves in the float64 LU solve."""
+    A64 = np.asarray(A, dtype=float)
+    x = np.linalg.solve(A64, np.asarray(b, dtype=float))
+    return x + np.linalg.solve(A64, np.asarray(b - A @ x, dtype=float))
+
+
 def inner_product(u: np.ndarray, v: np.ndarray, grid: Grid1D) -> float:
     """Discrete L2 inner product <u, v> = dx * sum_i u_i v_i."""
     u = _check_grid_vector(u, grid, "u")

@@ -1,24 +1,24 @@
 """Crank-Nicolson time integration of the semi-discrete Maxwell system
 dE/dt = D H, dH/dt = D E for an arbitrary convolution stencil D.
 
-The CN update solves (I - (dt/2) B) U^{n+1} = (I + (dt/2) B) U^n with
-U = (E, H) and B the 2N x 2N block matrix [[0, D], [D, 0]]. For a
-skew-adjoint D the map is orthogonal, so the discrete energy and every
-modal energy are conserved exactly, for any time step.
+In p = E + H and q = E - H the system splits into dp/dt = D p and
+dq/dt = -D q, so one CN step maps p by S(dt/2) and q by S(-dt/2), with the
+Cayley transform S(h) = (I - h D)^{-1} (I + h D). For a skew-adjoint D both
+maps are orthogonal, so the discrete energy (||p||^2 + ||q||^2) / 4 and
+every modal energy are conserved exactly, for any time step.
 
-Two interchangeable engines are provided. Each turns the fields into its
-own state (`load`), takes one CN step of it (`advance`) and reads the
-energy and the fields back (`energy`, `fields`); `simulate` runs the same
-loop for both.
+Both engines step the pair (p, q) through the same four calls: `load`
+(fields to state), `advance` (one CN step), `energy` and `fields`, which
+`simulate` runs in one loop.
 
-* "dense": one LU factorization of the 2N x 2N system, reused for all
-  steps. This is the default and the behavioral reference.
-* "spectral": diagonalizes the circulant blocks with the FFT and applies
-  the exact per-mode CN multipliers. Much faster for long runs; agrees
-  with the dense engine to roundoff (tested at 1e-12). A non-skew stencil
-  has multipliers of modulus above 1, so its modes grow on this engine as
-  on the dense one: the noisy preset's unconstrained stencil gains a
-  factor of about 1e83 in energy over 300 steps on either engine.
+* "dense": the two N x N matrices S(+-dt/2), built once. This is the
+  default and the behavioral reference.
+* "spectral": the FFT diagonalizes the circulant D, so S(+-dt/2) multiplies
+  each Fourier mode by cn_multiplier(+-mu). Much faster for long runs;
+  agrees with the dense engine to roundoff (tested at 1e-12).
+
+A non-skew stencil has multipliers of modulus above 1 (see
+max_cn_amplification), so its modes grow on either engine.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FieldPair, Grid1D, NumericalError, Stencil, discrete_energy, fourier_symbol, norm, operator_matrix, real_fft
+from .core import FieldPair, Grid1D, NumericalError, Stencil, discrete_energy, fourier_symbol, norm, operator_matrix
+from .core import real_fft, solve_refined
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,10 +45,6 @@ class SimConfig:
             raise ValueError(f"dt must be a nonzero finite number, got {self.dt}")
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
-
-    @property
-    def final_time(self) -> float:
-        return self.dt * self.n_steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,9 +62,9 @@ def cn_multiplier(mu: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _cn_symbol(cfg: SimConfig) -> np.ndarray:
-    """The stencil's symbol at the grid's Fourier angles: the eigenvalues
-    of D, so +-mu are those of B. Raises NumericalError when a CN
-    denominator 1 -+ dt mu/2 is zero, i.e. the CN system is singular."""
+    """The stencil's symbol at the grid's Fourier angles, the eigenvalues
+    of D. Raises NumericalError when a CN denominator 1 -+ dt mu/2 is
+    zero, i.e. the CN system is singular."""
     mu = fourier_symbol(cfg.stencil, 2.0 * np.pi * np.fft.fftfreq(cfg.grid.N))
     half_mu = 0.5 * cfg.dt * mu
     if np.any((half_mu == 1.0) | (half_mu == -1.0)):
@@ -75,48 +72,43 @@ def _cn_symbol(cfg: SimConfig) -> np.ndarray:
     return mu
 
 
+def max_cn_amplification(cfg: SimConfig) -> float:
+    """Largest |cn_multiplier(+-mu, dt)| over the grid's Fourier angles: the
+    per-step growth of the fastest-growing mode; 1 for a skew stencil."""
+    mu = _cn_symbol(cfg)
+    return float(np.max(np.abs(cn_multiplier(np.concatenate([mu, -mu]), cfg.dt))))
+
+
 class DenseCNStepper:
-    """LU-factored Crank-Nicolson step for the 2N-dimensional system; the
-    state is U = (E, H). scipy.linalg is imported here, on first use."""
+    """The state (p, q) times the N x N matrices S(dt/2) and S(-dt/2)."""
 
     def __init__(self, cfg: SimConfig):
-        _cn_symbol(cfg)  # a singular system raises here, not as a LinAlgWarning from lu_factor
-        from scipy.linalg import lu_factor, lu_solve
+        _cn_symbol(cfg)  # a singular system raises here
+        hD = 0.5 * cfg.dt * operator_matrix(cfg.stencil, cfg.grid.N)
+        eye = np.eye(cfg.grid.N)
+        # refined: LU pivot growth (2.6e4 seen) leaves a plain solve 1e-12 off
+        self._S_p = solve_refined(eye - hD, eye + hD)
+        self._S_q = solve_refined(eye + hD, eye - hD)
+        self._dx = cfg.grid.dx
 
-        N = cfg.grid.N
-        D = operator_matrix(cfg.stencil, N)
-        B = np.zeros((2 * N, 2 * N))
-        B[:N, N:] = D
-        B[N:, :N] = D
-        half = 0.5 * cfg.dt
-        self._rhs_mat = np.eye(2 * N) + half * B
-        self._lu = lu_factor(np.eye(2 * N) - half * B)
-        self._lu_solve = lu_solve
-        self._grid = cfg.grid
+    def load(self, f: FieldPair) -> tuple[np.ndarray, np.ndarray]:
+        return f.E + f.H, f.E - f.H
 
-    def load(self, f: FieldPair) -> np.ndarray:
-        return np.concatenate([f.E, f.H])
+    def advance(self, state: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        p, q = state
+        return self._S_p @ p, self._S_q @ q
 
-    def advance(self, u: np.ndarray) -> np.ndarray:
-        # check_finite=False: let an unstable (non-skew) run blow up visibly
-        # instead of dying inside scipy; simulate() reports it per step
-        return self._lu_solve(self._lu, self._rhs_mat @ u, check_finite=False)
+    def energy(self, state: tuple[np.ndarray, np.ndarray]) -> float:
+        p, q = state
+        return 0.25 * self._dx * float(p @ p + q @ q)
 
-    def energy(self, u: np.ndarray) -> float:
-        return discrete_energy(self.fields(u), self._grid)
-
-    def fields(self, u: np.ndarray) -> FieldPair:
-        return FieldPair(E=u[:self._grid.N], H=u[self._grid.N:])
+    def fields(self, state: tuple[np.ndarray, np.ndarray]) -> FieldPair:
+        p, q = state
+        return FieldPair(E=0.5 * (p + q), H=0.5 * (p - q))
 
 
 class SpectralCNStepper:
-    """Per-Fourier-mode Crank-Nicolson multipliers.
-
-    The characteristic variables p = fft(E) + fft(H) and q = fft(E) - fft(H)
-    evolve independently with rates +mu and -mu per mode, so one CN step
-    multiplies them by cn_multiplier(mu) and cn_multiplier(-mu); the state
-    is the pair (p, q).
-    """
+    """The state (fft(p), fft(q)) times cn_multiplier(+-mu) per mode."""
 
     def __init__(self, cfg: SimConfig):
         grid = cfg.grid

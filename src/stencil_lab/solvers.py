@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import NumericalError
+from .core import NumericalError, solve_refined
 from .regression import (
     ReducedProblem,
     RegressionSystem,
@@ -226,14 +226,6 @@ def solve_admm(
     return trace.report(z, "max_iters")
 
 
-def _solve_refined(H_ext: np.ndarray, rhs_ext: np.ndarray) -> np.ndarray:
-    """Solve H x = rhs in float64 and take one refinement step with the
-    residual evaluated in extended precision."""
-    H = H_ext.astype(float)
-    x = np.linalg.solve(H, rhs_ext.astype(float))
-    return x + np.linalg.solve(H, (rhs_ext - H_ext @ x).astype(float))
-
-
 def _box_qp(prob: ReducedProblem) -> np.ndarray:
     """Exact minimizer of the strictly convex F over |a| <= M.
 
@@ -245,7 +237,7 @@ def _box_qp(prob: ReducedProblem) -> np.ndarray:
     bookkeeping that could cycle.
     """
     M = prob.M
-    a = _solve_refined(prob.H_ext, prob.g_ext)
+    a = solve_refined(prob.H_ext, prob.g_ext)
     if np.max(np.abs(a)) <= M:
         return a
     best, best_f = None, np.inf
@@ -257,7 +249,7 @@ def _box_qp(prob: ReducedProblem) -> np.ndarray:
         free = ~fixed
         if free.any():
             rhs = prob.g_ext[free] - prob.H_ext[np.ix_(free, fixed)] @ a[fixed]
-            a[free] = _solve_refined(prob.H_ext[np.ix_(free, free)], rhs)
+            a[free] = solve_refined(prob.H_ext[np.ix_(free, free)], rhs)
             if np.max(np.abs(a[free])) > M:
                 continue
         f = prob.objective(a)

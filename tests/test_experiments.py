@@ -144,6 +144,13 @@ class TestNoisy:
         result = simulate(single_mode_initial_condition(cfg.training.grid), cfg.sim_config(ls), engine="spectral")
         assert result.energy_series[-1] / result.energy_series[0] >= 10.0
 
+    def test_max_cn_amplification(self, noisy):
+        _, report = noisy
+        runs = report["runs"]
+        assert abs(runs["centered"]["max_cn_amplification"] - 1.0) <= 1e-12
+        assert abs(runs["constrained_qp"]["max_cn_amplification"] - 1.0) <= 1e-12
+        assert runs["unconstrained_ls"]["max_cn_amplification"] > 1.0
+
     def test_constrained_stays_stable(self, noisy):
         _, report = noisy
         qp = report["runs"]["constrained_qp"]

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stencil_lab.core import (
@@ -128,6 +128,8 @@ class TestSimulate:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 4), extra_cells=st.integers(0, 120),
            dt_ratio=st.floats(0.05, 4.0), backward=st.booleans(), n_steps=st.integers(0, 60))
+    # LU pivot growth of 2.6e4 in I + (dt/2) D: an unrefined dense solve misses 1e-12 here
+    @example(seed=512, R=4, extra_cells=118, dt_ratio=2.938045901680896, backward=False, n_steps=2)
     def test_random_skew_stencils_conserve_and_engines_agree(self, seed, R, extra_cells, dt_ratio, backward, n_steps):
         rng = np.random.default_rng(seed)
         grid = Grid1D(N=2 * R + 1 + extra_cells)
@@ -150,10 +152,11 @@ class TestSimulate:
         assert result.snapshot_steps == [0, 5, 10, 12]
         assert len(result.snapshots) == 4
 
-    def test_unstable_run_raises(self, grid):
+    @pytest.mark.parametrize("engine", ["dense", "spectral"])
+    def test_unstable_run_raises(self, grid, engine):
         bad = Stencil(np.array([-120.0, 0.0, -120.0]), grid.dx)  # symmetric: strongly non-skew
         with pytest.raises(NumericalError, match="non-finite"):
-            simulate(single_mode_initial_condition(grid), standard_config(grid, bad, n_steps=400))
+            simulate(single_mode_initial_condition(grid), standard_config(grid, bad, n_steps=400), engine=engine)
 
     @pytest.mark.parametrize("engine", ["dense", "spectral"])
     @pytest.mark.parametrize("n_steps", [0, 3])
