@@ -157,9 +157,14 @@ def operator_matrix(stencil: Stencil, N: int) -> np.ndarray:
     for l in range(1, R + 1):
         col[l] = stencil.w[R - l]       # w_{-l}
         col[N - l] = stencil.w[R + l]   # w_{+l}
+    return circulant(col)
+
+
+def circulant(col: np.ndarray) -> np.ndarray:
+    """The circulant matrix with first column col, C_ij = col[(i - j) mod N]."""
     # row i is col[i], col[i-1], ..., wrapping: the length-N window of
     # (col reversed, then col[N-1..1]) that starts at N-1-i
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([col[::-1], col[:0:-1]]), N)
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([col[::-1], col[:0:-1]]), col.size)
     return windows[::-1].copy()
 
 

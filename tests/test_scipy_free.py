@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stencil_lab.analysis import modal_energies
-from stencil_lab.core import FieldPair, Grid1D, Stencil, operator_matrix, real_fft
+from stencil_lab.core import FieldPair, Grid1D, Stencil, circulant, operator_matrix, real_fft
 from stencil_lab.training import spectral_derivative
 
 _N = st.integers(3, 4097)
@@ -63,6 +63,12 @@ class TestBitIdentity:
             col[l] = stencil.w[R - l]
             col[N - l] = stencil.w[R + l]
         assert np.array_equal(operator_matrix(stencil, N), scipy.linalg.circulant(col))
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(1, 4097), scale=_SCALE, seed=_SEED)
+    def test_circulant_matches_scipy(self, N, scale, seed):
+        col = _vector(seed, N, scale)
+        assert np.array_equal(circulant(col), scipy.linalg.circulant(col))
 
 
 _CHILD = """

@@ -12,11 +12,17 @@ from stencil_lab.core import (
     NumericalError,
     Stencil,
     centered_difference_stencil,
+    circulant,
     discrete_energy,
+    fourier_symbol,
+    operator_matrix,
+    solve_refined,
 )
 from stencil_lab.simulate import (
     DenseCNStepper,
     SimConfig,
+    SpectralCNStepper,
+    cn_multiplier,
     relative_l2_error,
     simulate,
     single_mode_initial_condition,
@@ -176,6 +182,53 @@ class TestSimulate:
     def test_mismatched_init_rejected(self, grid):
         with pytest.raises(ValueError):
             simulate(FieldPair(np.zeros(32), np.zeros(32)), standard_config(grid))
+
+
+def n_rhs_cayley(cfg):
+    """S(+-dt/2) as N-right-hand-side refined solves with the full matrices."""
+    hD = 0.5 * cfg.dt * operator_matrix(cfg.stencil, cfg.grid.N)
+    eye = np.eye(cfg.grid.N)
+    return solve_refined(eye - hD, eye + hD), solve_refined(eye + hD, eye - hD)
+
+
+def fft_cayley(cfg, sign):
+    """S(sign dt/2) from its eigenvalues: the circulant with first column ifft(cn_multiplier(sign mu))."""
+    mu = fourier_symbol(cfg.stencil, 2.0 * np.pi * np.fft.fftfreq(cfg.grid.N))
+    return circulant(np.fft.ifft(cn_multiplier(sign * mu, cfg.dt)).real)
+
+
+class TestEngineStructure:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 6), extra_cells=st.integers(0, 237),
+           dt_ratio=st.floats(0.05, 8.0), backward=st.booleans(), skew=st.booleans())
+    @example(seed=512, R=4, extra_cells=118, dt_ratio=2.938045901680896, backward=False, skew=True)
+    @example(seed=3129945617, R=3, extra_cells=225, dt_ratio=3.53417379951129, backward=False, skew=True)
+    def test_dense_matrices_are_the_circulant_cayley_transforms(self, seed, R, extra_cells, dt_ratio, backward, skew):
+        rng = np.random.default_rng(seed)
+        grid = Grid1D(N=2 * R + 1 + extra_cells)
+        half = rng.uniform(-1.0, 1.0, size=R) / grid.dx
+        w = np.concatenate([-half[::-1], [0.0], half])
+        if not skew:
+            w[R] = rng.uniform(-0.1, 0.1) / grid.dx
+        cfg = standard_config(grid, Stencil(w, grid.dx), dt_ratio=-dt_ratio if backward else dt_ratio, n_steps=1)
+        stepper = DenseCNStepper(cfg)
+        for S, oracle, sign in zip((stepper._S_p, stepper._S_q), n_rhs_cayley(cfg), (1.0, -1.0)):
+            exact = fft_cayley(cfg, sign)
+            tol = 1e-14 * max(1.0, np.max(np.abs(exact)))
+            # LU pivot growth can leave the N-column build itself off (4e-9 in the second
+            # example, N=232): there the one-column build must be no farther from the exact matrix
+            assert (np.max(np.abs(S - oracle)) <= tol
+                    or np.max(np.abs(S - exact)) <= np.max(np.abs(oracle - exact)))
+            assert all(np.array_equal(S[i], np.roll(S[0], i)) for i in range(grid.N))
+
+    @settings(max_examples=100, deadline=None)
+    @given(N=st.integers(3, 4097), scale=st.floats(-8.0, 8.0), seed=st.integers(0, 2**32 - 1))
+    def test_spectral_energy_is_discrete_energy(self, N, scale, seed):
+        rng = np.random.default_rng(seed)
+        grid = Grid1D(N=N)
+        f = FieldPair(rng.normal(size=N) * 10.0**scale, rng.normal(size=N) * 10.0**scale)
+        stepper = SpectralCNStepper(standard_config(grid, n_steps=1))
+        assert stepper.energy(stepper.load(f)) == pytest.approx(discrete_energy(f, grid), rel=1e-14)
 
 
 class TestTravelingWave:
