@@ -4,9 +4,7 @@ dispersion curves, modal energies, and the spatial convergence harness.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -133,32 +131,3 @@ def convergence_study(
         rows.append(ConvergenceRow(N_x=N, dx=grid.dx, error=float(error), order=order))
     return rows
 
-
-def write_symbol_csv(curve: SymbolCurve, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "re_mu", "im_mu"])
-        for t, v in zip(curve.thetas, curve.values):
-            writer.writerow([repr(float(t)), repr(float(v.real)), repr(float(v.imag))])
-
-
-def write_dispersion_csv(curves: DispersionCurves, dt: float, dx: float, path: str | Path) -> None:
-    reference = cn_reference_phase_ratio(dt, dx, curves.thetas)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "amplification", "phase_ratio", "reference_phase_ratio"])
-        for t, a, p, r in zip(curves.thetas, curves.amplification, curves.phase_ratio, reference):
-            writer.writerow([repr(float(t)), repr(float(a)), repr(float(p)), repr(float(r))])
-
-
-def write_convergence_csv(rows: Sequence[ConvergenceRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N_x", "dx", "error", "order"])
-        for row in rows:
-            writer.writerow([
-                row.N_x,
-                repr(row.dx),
-                repr(row.error),
-                "" if row.order is None else repr(row.order),
-            ])

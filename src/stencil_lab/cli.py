@@ -32,10 +32,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import cfl_bound, cn_dispersion, max_wave_speed, symbol, write_dispersion_csv, write_symbol_csv
+from .analysis import cfl_bound, max_wave_speed
 from .core import Grid1D, NumericalError, Stencil, load_stencil, save_stencil
-from .experiments import DEFAULT_SEED, ExperimentConfig, RunDir, merge, run_convergence, run_experiment, simulate_csvs
-from .regression import assemble_regression, build_skew_constraints, dump_diagnostics
+from .experiments import DEFAULT_SEED, ExperimentConfig, RunDir, merge, run_convergence, run_experiment
+from .experiments import dispersion_csvs, simulate_csvs
+from .regression import assemble_regression, build_skew_constraints
 from .simulate import SimConfig
 from .solvers import SolverOptions, solve
 from .training import TrainingConfig, generate_training_set, load_training_set, save_training_set
@@ -163,9 +164,10 @@ def _cmd_learn(args) -> int:
     report = run.record(args.method, solve(args.method, system, build_skew_constraints(args.radius), _solver_options(args)))
     stencil = Stencil(w=report.w_final, dx=ts.config.grid.dx)
     save_stencil(stencil, run.path("stencil.json"))
-    report.save_json(run.path("solver_report.json"))
-    report.save_csv(run.path("trace.csv"))
-    dump_diagnostics(system, run.path("diagnostics.json"))
+    run.write_json("solver_report.json", report.to_dict())
+    run.write_trace("trace.csv", report)
+    run.write_json("diagnostics.json", {"rows": system.rows, "cols": system.n_coeffs, "lambda": system.lam,
+                                        "box_bound": system.M, "gram": system.gram.tolist()})
     print(f"method={report.method} iterations={report.iterations} stop_reason={report.stop_reason}")
     print(f"w = {stencil.w}")
     print(f"objective = {report.objective_trace[-1]:.12g}")
@@ -189,17 +191,12 @@ def _cmd_dispersion(args) -> int:
     run = _run_dir(args)
     stencil = load_stencil(args.stencil)
     dt = args.dt if args.dt is not None else args.dt_ratio * stencil.dx
-    n = args.samples
-    thetas = np.linspace(np.pi / n, np.pi, n)
-    curves = cn_dispersion(stencil, dt, thetas)
-    write_dispersion_csv(curves, dt, stencil.dx, run.path("dispersion.csv"))
-    write_symbol_csv(symbol(stencil, np.linspace(-np.pi, np.pi, 2 * n)), run.path("symbol.csv"))
     c_max = max_wave_speed(stencil)
     report = {
         "dt": dt,
         "c_max": c_max,
         "cfl_bound": cfl_bound(stencil) if c_max > 0 else None,
-        "max_amplification_error": float(np.max(np.abs(curves.amplification - 1.0))),
+        "max_amplification_error": dispersion_csvs(run, stencil, dt, args.samples),
     }
     print(f"c_max={report['c_max']:.6g} cfl_bound={report['cfl_bound']}")
     return _announce(run.root, run.finish(report))

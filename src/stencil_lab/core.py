@@ -89,10 +89,16 @@ class Stencil:
         missing = [key for key in ("R", "w", "dx") if key not in data]
         if missing:
             raise ValueError(f"stencil file lacks key(s): {', '.join(missing)}")
-        w = np.asarray(data["w"], dtype=float)
-        if w.size != 2 * int(data["R"]) + 1:
-            raise ValueError(f"stencil file inconsistent: len(w)={w.size} but R={data['R']}")
-        return cls(w=w, dx=float(data["dx"]))
+        R, dx = data["R"], data["dx"]
+        if type(R) is not int or type(dx) not in (int, float):
+            raise ValueError(f"stencil file needs an integer R and a number dx, got R={json.dumps(R)}, dx={json.dumps(dx)}")
+        try:
+            w = np.asarray(data["w"], dtype=float)
+        except TypeError:
+            raise ValueError(f"stencil file: w must be a list of numbers, got {json.dumps(data['w'])}") from None
+        if w.size != 2 * R + 1:
+            raise ValueError(f"stencil file inconsistent: len(w)={w.size} but R={R}")
+        return cls(w=w, dx=float(dx))
 
 
 def save_stencil(stencil: Stencil, path: str | Path) -> None:

@@ -3,10 +3,10 @@ study, energy-conservation and dispersion figure data, nonstandard
 operator recovery, noisy-training stress test, and the solver benchmark.
 
 Every runner is deterministic given its seed and returns its report as a
-dict. It writes its files through a RunDir, which records each file name
-and each solver report; report.json and manifest.json come last, and the
-manifest's `outputs` and `solves` are derived from those records. Configs
-are changed with `merge`, which also backs ExperimentConfig.from_dict.
+dict. Its RunDir formats the CSV and JSON files and records each file
+name and each solver report; report.json and manifest.json come last, and
+the manifest's `outputs` and `solves` are derived from those records.
+Configs are changed with `merge`, which also backs ExperimentConfig.from_dict.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .analysis import cn_dispersion, convergence_study, symbol, write_convergence_csv, write_dispersion_csv, write_symbol_csv
+from .analysis import cn_dispersion, cn_reference_phase_ratio, convergence_study, symbol
 from .core import Grid1D, NumericalError, Stencil, centered_difference_stencil, save_stencil
 from .regression import assemble_regression, build_skew_constraints
 from .simulate import (
@@ -31,11 +31,8 @@ from .simulate import (
     relative_l2_error,
     simulate,
     single_mode_initial_condition,
-    write_energy_csv,
-    write_final_field_csv,
-    write_spacetime_csv,
 )
-from .solvers import ADMM, NAG, PG, REFERENCE, SolverOptions, SolverReport, solve
+from .solvers import ADMM, NAG, PG, REFERENCE, TRACE_COLUMNS, SolverOptions, SolverReport, solve
 from .training import TrainingConfig, TrainingSet, generate_operator_training_set, generate_training_set
 
 DEFAULT_SEED = 20260811
@@ -156,17 +153,18 @@ class ExperimentConfig:
 
 
 class RunDir:
-    """Output directory of one run. It records the name of every file
-    written through `path` and every solver report passed to `record`,
-    and `finish` derives manifest.json from those records, so the
-    manifest cannot list a file the run did not write or miss one it
-    did. `header` holds what identifies the run (its name, seed and
-    config)."""
+    """Output directory of one run, which formats its CSV and JSON files
+    (a stencil file is written by save_stencil, at a path from `path`). It
+    records the name of every file written through `path` and every solver
+    report passed to `record`, and `finish` derives manifest.json from
+    those records, so the manifest cannot list a file the run did not write
+    or miss one it did. `header` holds what identifies the run (its name,
+    seed and config), in its JSON form."""
 
     def __init__(self, root: str | Path, **header):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.header = header
+        self.header = json.loads(json.dumps(header, default=str))
         self.outputs: set[str] = set()
         self.solves: dict[str, SolverReport] = {}
 
@@ -178,11 +176,28 @@ class RunDir:
         self.solves[label] = report
         return report
 
+    def write_csv(self, name: str, header: list[str], rows) -> None:
+        """A header row, then one row per item of `rows`. A float cell (an
+        np.float64 too) is written as repr(float(v)), which reads back bit
+        for bit, None as an empty cell, and an int or str as it is."""
+        with open(self.path(name), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([repr(float(v)) if isinstance(v, float) else "" if v is None else v for v in row] for row in rows)
+
+    def write_json(self, name: str, data) -> None:
+        self.path(name).write_text(json.dumps(data, indent=2) + "\n")
+
+    def write_trace(self, name: str, report: SolverReport) -> None:
+        """The report's traces, one row per iteration."""
+        traces = [getattr(report, field) for field, _ in TRACE_COLUMNS]
+        self.write_csv(name, ["iter", *(column for _, column in TRACE_COLUMNS)], zip(range(1, report.iterations + 1), *traces))
+
     def finish(self, report: dict | None = None) -> dict:
         """Write report.json (when given), then manifest.json; returns the
         manifest."""
         if report is not None:
-            self.path("report.json").write_text(json.dumps(report, indent=2) + "\n")
+            self.write_json("report.json", report)
         manifest = {
             **self.header,
             "version": __version__,
@@ -192,24 +207,40 @@ class RunDir:
                 for label, r in self.solves.items()
             },
         }
-        (self.root / "manifest.json").write_text(json.dumps(manifest, indent=2, default=str) + "\n")
+        self.write_json("manifest.json", manifest)
         return manifest
 
 
 def simulate_csvs(run: RunDir, sim_cfg: SimConfig, kinds: tuple[str, ...] = (), suffix: str = "",
                   snapshot_every: int | None = None, engine: str = "dense") -> SimResult:
     """One Crank-Nicolson run from the single-mode initial condition; writes
-    `{kind}{suffix}.csv` into `run` for each kind in `kinds` (energy,
-    final_field, spacetime)."""
+    `{kind}{suffix}.csv` for each of `kinds` (energy, final_field, spacetime)."""
     result = simulate(single_mode_initial_condition(sim_cfg.grid), sim_cfg, snapshot_every=snapshot_every, engine=engine)
-    writers = {
-        "energy": lambda path: write_energy_csv(result, sim_cfg, path),
-        "final_field": lambda path: write_final_field_csv(result, sim_cfg.grid, path),
-        "spacetime": lambda path: write_spacetime_csv(result, sim_cfg, path),
+    dt, x, e = sim_cfg.dt, sim_cfg.grid.x, result.energy_series
+    snapshots = zip(result.snapshot_steps, result.snapshots)
+    tables = {
+        "energy": (["step", "t", "energy", "energy_minus_initial"], ([k, k * dt, e[k], e[k] - e[0]] for k in range(e.size))),
+        "final_field": (["x", "E", "H"], zip(x, result.final.E, result.final.H)),
+        "spacetime": (["t", "x", "E"], ([k * dt, *xe] for k, f in snapshots for xe in zip(x, f.E))),
     }
     for kind in kinds:
-        writers[kind](run.path(f"{kind}{suffix}.csv"))
+        run.write_csv(f"{kind}{suffix}.csv", *tables[kind])
     return result
+
+
+def dispersion_csvs(run: RunDir, stencil: Stencil, dt: float, n_thetas: int, suffix: str = "") -> float:
+    """Write `dispersion{suffix}.csv`, the CN dispersion curves at n_thetas
+    angles in (0, pi], and `symbol{suffix}.csv`, the symbol at 2 n_thetas
+    angles in [-pi, pi]; returns the largest |amplification - 1|."""
+    if n_thetas < 1:
+        raise ValueError(f"the dispersion curves need at least one theta sample, got {n_thetas}")
+    thetas = np.linspace(np.pi / n_thetas, np.pi, n_thetas)
+    curves = cn_dispersion(stencil, dt, thetas)
+    run.write_csv(f"dispersion{suffix}.csv", ["theta", "amplification", "phase_ratio", "reference_phase_ratio"],
+                  zip(thetas, curves.amplification, curves.phase_ratio, cn_reference_phase_ratio(dt, stencil.dx, thetas)))
+    mu = symbol(stencil, np.linspace(-np.pi, np.pi, 2 * n_thetas))
+    run.write_csv(f"symbol{suffix}.csv", ["theta", "re_mu", "im_mu"], zip(mu.thetas, mu.values.real, mu.values.imag))
+    return float(np.max(np.abs(curves.amplification - 1.0)))
 
 
 def learn_stencil(
@@ -262,8 +293,7 @@ def run_table1(cfg: ExperimentConfig) -> dict:
     def add_row(label: str, stencil: Stencil | None, status: str = "ok", result: SimResult | None = None):
         row: dict = {"method": label, "status": status}
         if stencil is None:
-            row.update({name: "" for name in offsets})
-            row.update({"err": "", "r_eq": ""})
+            row.update(dict.fromkeys([*offsets, "err", "r_eq"], ""))
         else:
             row.update(dict(zip(offsets, (float(v) for v in stencil.w))))
             if result is None:
@@ -283,15 +313,12 @@ def run_table1(cfg: ExperimentConfig) -> dict:
             continue
         stencil = Stencil(w=report.w_final, dx=grid.dx)
         add_row(label, stencil)
-        report.save_csv(run.path(f"trace_{label}.csv"))
-        report.save_json(run.path(f"solver_{label}.json"))
+        run.write_trace(f"trace_{label}.csv", report)
+        run.write_json(f"solver_{label}.json", report.to_dict())
         save_stencil(stencil, run.path(f"stencil_{label}.json"))
 
-    with open(run.path("table1.csv"), "w", newline="") as fh:
-        fieldnames = ["method", "status", *offsets, "err", "r_eq", "energy_drift"]
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, restval="")
-        writer.writeheader()
-        writer.writerows(rows)
+    columns = ["method", "status", *offsets, "err", "r_eq", "energy_drift"]
+    run.write_csv("table1.csv", columns, ([row.get(c) for c in columns] for row in rows))
 
     report = {"rows": rows, "system_shape": [system.rows, system.n_coeffs]}
     run.finish(report)
@@ -329,16 +356,9 @@ def run_dispersion(cfg: ExperimentConfig, n_thetas: int = 512) -> dict:
     ts = generate_training_set(cfg.training)
     learned, report = learn_stencil(ts, cfg.radius, ADMM, cfg.lam, cfg.box_bound, cfg.solver_opts)
     run.record("admm", report)
-    cd = centered_difference_stencil(grid, cfg.radius)
 
-    thetas = np.linspace(np.pi / n_thetas, np.pi, n_thetas)
-    amp_errors = {}
-    for label, stencil in (("learned", learned), ("centered", cd)):
-        curves = cn_dispersion(stencil, dt, thetas)
-        write_dispersion_csv(curves, dt, grid.dx, run.path(f"dispersion_{label}.csv"))
-        write_symbol_csv(symbol(stencil, np.linspace(-np.pi, np.pi, 2 * n_thetas)), run.path(f"symbol_{label}.csv"))
-        amp_errors[label] = float(np.max(np.abs(curves.amplification - 1.0)))
-
+    stencils = {"learned": learned, "centered": centered_difference_stencil(grid, cfg.radius)}
+    amp_errors = {label: dispersion_csvs(run, stencil, dt, n_thetas, f"_{label}") for label, stencil in stencils.items()}
     report = {"max_amplification_error": amp_errors, "dt": dt}
     run.finish(report)
     return report
@@ -361,7 +381,7 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
         return stencil
 
     rows = convergence_study(provider, cfg.resolutions, T=cfg.t_final, dt_ratio=cfg.convergence_dt_ratio, L=cfg.training.grid.L)
-    write_convergence_csv(rows, run.path("convergence.csv"))
+    run.write_csv("convergence.csv", ["N_x", "dx", "error", "order"], ([r.N_x, r.dx, r.error, r.order] for r in rows))
     report = {"rows": [asdict(r) for r in rows]}
     run.finish(report)
     return report
@@ -389,7 +409,7 @@ def run_nonstandard(cfg: ExperimentConfig) -> dict:
         drifts[label] = _energy_drift(result)
 
     save_stencil(w_qp, run.path("stencil_learned.json"))
-    solver_report.save_csv(run.path("trace_admm.csv"))
+    run.write_trace("trace_admm.csv", solver_report)
     report = {
         "target_coefficients": [float(v) for v in w_star.w],
         "learned_coefficients": [float(v) for v in w_qp.w],
@@ -469,7 +489,7 @@ def run_solver_bench(cfg: ExperimentConfig) -> dict:
 
     reports = {m: run.record(m.lower(), solve(m, system, cs, cfg.solver_opts)) for m in (PG, NAG, ADMM, REFERENCE)}
     for method, rep in reports.items():
-        rep.save_csv(run.path(f"trace_{method.lower()}.csv"))
+        run.write_trace(f"trace_{method.lower()}.csv", rep)
 
     f_ref = float(reports[REFERENCE].objective_trace[-1])
     pg, nag, admm = reports[PG], reports[NAG], reports[ADMM]

@@ -26,10 +26,8 @@ coefficients a_l = w_{+l} (lift); the box |w| <= M is then exactly
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -222,15 +220,3 @@ def objective_and_gradient(sys: RegressionSystem, w: np.ndarray) -> tuple[float,
     grad = gw - sys.atb + sys.lam * w
     return f, grad
 
-
-def dump_diagnostics(sys: RegressionSystem, path: str | Path) -> dict:
-    """Write system dimensions and the Gram matrix to JSON."""
-    info = {
-        "rows": sys.rows,
-        "cols": sys.n_coeffs,
-        "lambda": sys.lam,
-        "box_bound": sys.M,
-        "gram": [[float(v) for v in row] for row in sys.gram],
-    }
-    Path(path).write_text(json.dumps(info, indent=2) + "\n")
-    return info

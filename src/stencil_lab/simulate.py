@@ -25,9 +25,7 @@ max_cn_amplification), so its modes grow on either engine.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -214,30 +212,3 @@ def relative_l2_error(num: np.ndarray, ref: np.ndarray, grid: Grid1D) -> float:
         raise ValueError("reference vector has zero norm")
     return norm(num - ref, grid) / ref_norm
 
-
-def write_energy_csv(result: SimResult, cfg: SimConfig, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "t", "energy", "energy_minus_initial"])
-        e0 = result.energy_series[0]
-        for step, e in enumerate(result.energy_series):
-            writer.writerow([step, repr(step * cfg.dt), repr(float(e)), repr(float(e - e0))])
-
-
-def write_final_field_csv(result: SimResult, grid: Grid1D, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "E", "H"])
-        for x, e, h in zip(grid.x, result.final.E, result.final.H):
-            writer.writerow([repr(float(x)), repr(float(e)), repr(float(h))])
-
-
-def write_spacetime_csv(result: SimResult, cfg: SimConfig, path: str | Path) -> None:
-    """Long-format (t, x, E) rows for the recorded snapshots."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "E"])
-        for step, f in zip(result.snapshot_steps, result.snapshots):
-            t = step * cfg.dt
-            for x, e in zip(cfg.grid.x, f.E):
-                writer.writerow([repr(float(t)), repr(float(x)), repr(float(e))])

@@ -18,12 +18,9 @@ of the objective, iterate change in w and wall-clock time.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -47,9 +44,8 @@ _DEFAULT_MAX_ITERS = {PG: 500, NAG: 500, ADMM: 100}
 # ||P a|| = sqrt(2) ||a||: iterate changes are reported and tested in w
 _W_NORM = np.sqrt(2.0)
 
-# (SolverReport field, trace-CSV column) of each per-iteration trace, in
-# the order _Trace records them
-_TRACES = (("objective_trace", "objective"), ("step_diff_trace", "step_diff"), ("time_trace", "elapsed_s"))
+# (SolverReport field, trace-CSV column) of each trace, in the order _Trace records them
+TRACE_COLUMNS = (("objective_trace", "objective"), ("step_diff_trace", "step_diff"), ("time_trace", "elapsed_s"))
 
 
 @dataclass(frozen=True)
@@ -99,19 +95,8 @@ class SolverReport:
             "iterations": self.iterations,
             "stop_reason": self.stop_reason,
             "w_final": [float(v) for v in self.w_final],
-            **{name: [float(v) for v in getattr(self, name)] for name, _ in _TRACES},
+            **{name: [float(v) for v in getattr(self, name)] for name, _ in TRACE_COLUMNS},
         }
-
-    def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-    def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iter", *(column for _, column in _TRACES)])
-            traces = [getattr(self, name) for name, _ in _TRACES]
-            for k in range(self.iterations):
-                writer.writerow([k + 1, *(repr(float(t[k])) for t in traces)])
 
 
 class _Trace:
@@ -130,7 +115,7 @@ class _Trace:
     def report(self, a_final: np.ndarray, stop_reason: str) -> SolverReport:
         return SolverReport(
             w_final=lift(a_final),
-            **{name: trace for (name, _), trace in zip(_TRACES, np.array(self.rows).T)},
+            **{name: trace for (name, _), trace in zip(TRACE_COLUMNS, np.array(self.rows).T)},
             iterations=len(self.rows),
             method=self.method,
             stop_reason=stop_reason,

@@ -13,6 +13,7 @@ order-independent across samples.
 
 from __future__ import annotations
 
+import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -141,16 +142,21 @@ _FILE_KEYS = ("states", "derivatives", "n_sims", "N", "L", "m_max", "seed", "sig
 
 
 def load_training_set(path: str | Path) -> TrainingSet:
-    with np.load(Path(path)) as data:
-        missing = [key for key in _FILE_KEYS if key not in data]
-        if missing:
-            raise ValueError(f"training file {path} lacks key(s): {', '.join(missing)}")
-        cfg = TrainingConfig(
-            n_sims=int(data["n_sims"]),
-            m_max=int(data["m_max"]),
-            grid=Grid1D(N=int(data["N"]), L=float(data["L"])),
-            seed=int(data["seed"]),
-            amplitude_std=float(data["amplitude_std"]),
-            noise_std=float(data["sigma"]),
-        )
-        return TrainingSet(states=data["states"], derivatives=data["derivatives"], config=cfg)
+    """Inverse of save_training_set; a malformed file raises ValueError."""
+    try:
+        with np.load(Path(path)) as data:
+            missing = [key for key in _FILE_KEYS if key not in data]
+            if missing:
+                raise ValueError(f"training file {path} lacks key(s): {', '.join(missing)}")
+            cfg = TrainingConfig(
+                n_sims=int(data["n_sims"]),
+                m_max=int(data["m_max"]),
+                grid=Grid1D(N=int(data["N"]), L=float(data["L"])),
+                seed=int(data["seed"]),
+                amplitude_std=float(data["amplitude_std"]),
+                noise_std=float(data["sigma"]),
+            )
+            return TrainingSet(states=data["states"], derivatives=data["derivatives"], config=cfg)
+    except (EOFError, zipfile.BadZipFile, TypeError) as exc:
+        # a truncated archive, or a header field that is not a scalar
+        raise ValueError(f"training file {path} is malformed: {exc}") from None

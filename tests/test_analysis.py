@@ -1,4 +1,5 @@
 import csv
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,9 +14,6 @@ from stencil_lab.analysis import (
     max_wave_speed,
     modal_energies,
     symbol,
-    write_convergence_csv,
-    write_dispersion_csv,
-    write_symbol_csv,
 )
 from stencil_lab.core import (
     FieldPair,
@@ -25,6 +23,7 @@ from stencil_lab.core import (
     discrete_energy,
     operator_matrix,
 )
+from stencil_lab.experiments import RunDir, dispersion_csvs
 from stencil_lab.simulate import DenseCNStepper, SimConfig, single_mode_initial_condition
 
 
@@ -222,18 +221,16 @@ class TestConvergenceStudy:
 
 class TestCSVWriters:
     def test_symbol_csv(self, grid, tmp_path):
-        curve = symbol(centered_difference_stencil(grid), np.linspace(-np.pi, np.pi, 9))
-        write_symbol_csv(curve, tmp_path / "symbol.csv")
+        # the symbol is sampled at twice the dispersion curves' angles
+        dispersion_csvs(RunDir(tmp_path), centered_difference_stencil(grid), 0.5 * grid.dx, 8)
         with open(tmp_path / "symbol.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == ["theta", "re_mu", "im_mu"]
-        assert len(rows) == 9
+        assert len(rows) == 16
 
     def test_dispersion_csv(self, grid, tmp_path):
-        thetas = np.linspace(0.1, np.pi, 8)
-        curves = cn_dispersion(centered_difference_stencil(grid), 0.5 * grid.dx, thetas)
-        write_dispersion_csv(curves, 0.5 * grid.dx, grid.dx, tmp_path / "d.csv")
-        with open(tmp_path / "d.csv") as fh:
+        dispersion_csvs(RunDir(tmp_path), centered_difference_stencil(grid), 0.5 * grid.dx, 8, "_d")
+        with open(tmp_path / "dispersion_d.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == ["theta", "amplification", "phase_ratio", "reference_phase_ratio"]
         # reference column: exact CN phase of the ideal spectral symbol
@@ -243,7 +240,7 @@ class TestCSVWriters:
 
     def test_convergence_csv(self, tmp_path):
         rows = [ConvergenceRow(N_x=32, dx=1 / 32, error=0.1), ConvergenceRow(N_x=64, dx=1 / 64, error=0.025, order=2.0)]
-        write_convergence_csv(rows, tmp_path / "c.csv")
+        RunDir(tmp_path).write_csv("c.csv", ["N_x", "dx", "error", "order"], map(astuple, rows))
         with open(tmp_path / "c.csv") as fh:
             parsed = list(csv.DictReader(fh))
         assert parsed[0]["order"] == ""

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stencil_lab.core import Grid1D, Stencil, centered_difference_stencil, save_stencil
+from stencil_lab.training import TrainingConfig, generate_training_set, save_training_set
 
 
 def run_cli(*args, cwd=None):
@@ -268,6 +269,41 @@ class TestExitCodes:
         proc = run_cli("simulate", "--stencil", str(tmp_path / "bad.json"), "--out", str(tmp_path))
         assert proc.returncode == 2
         assert proc.stderr.strip() == "error: stencil file lacks key(s): R, dx"
+
+    @pytest.mark.parametrize("change, got", [
+        ({"R": None}, "R=null, dx=0.1"),
+        ({"R": [1]}, "R=[1], dx=0.1"),
+        ({"R": 1.7}, "R=1.7, dx=0.1"),
+        ({"dx": None}, "R=1, dx=null"),
+        ({"dx": [0.1]}, "R=1, dx=[0.1]"),
+    ])
+    def test_malformed_stencil_value_is_two(self, tmp_path, change, got):
+        (tmp_path / "bad.json").write_text(json.dumps({"R": 1, "w": [-0.5, 0.0, 0.5], "dx": 0.1, **change}))
+        proc = run_cli("simulate", "--stencil", str(tmp_path / "bad.json"), "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == f"error: stencil file needs an integer R and a number dx, got {got}"
+
+    @pytest.mark.parametrize("defect", ["truncated", "non-scalar N"])
+    def test_malformed_training_archive_is_two(self, tmp_path, defect):
+        path = tmp_path / "bad.npz"
+        save_training_set(generate_training_set(TrainingConfig(n_sims=2, m_max=2, grid=Grid1D(N=16), seed=1)), path)
+        if defect == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        else:
+            with np.load(path) as data:
+                arrays = {key: data[key] for key in data.files}
+            np.savez(path, **{**arrays, "N": np.array([16, 17])})
+        proc = run_cli("learn", "--method", "admm", "--data", str(path), "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr.strip().splitlines() == [proc.stderr.strip()]
+        assert proc.stderr.startswith(f"error: training file {path}")
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_dispersion_without_samples_is_two(self, tmp_path, samples):
+        save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
+        proc = run_cli("dispersion", "--stencil", str(tmp_path / "s.json"), "--samples", samples, "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == f"error: the dispersion curves need at least one theta sample, got {samples}"
 
     def test_convergence_config_error_is_two(self, tmp_path):
         # m_max=5 is not resolved on the N=8 grid

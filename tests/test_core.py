@@ -235,7 +235,9 @@ class TestStencilSerialization:
         with pytest.raises(ValueError):
             load_stencil(path)
 
-    @pytest.mark.parametrize("data", [{"w": [1.0, 0.0, -1.0]}, {"R": 1, "dx": 0.1}, [1.0, 0.0, -1.0]])
+    @pytest.mark.parametrize("data", [
+        {"w": [1.0, 0.0, -1.0]}, {"R": 1, "dx": 0.1}, [1.0, 0.0, -1.0], {"R": 1, "w": {"a": 1.0}, "dx": 0.1},
+    ])
     def test_malformed_file_rejected(self, tmp_path, data):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))

@@ -1,21 +1,24 @@
 import csv
 import json
+import struct
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stencil_lab import experiments
-from stencil_lab.analysis import symbol, write_symbol_csv
 from stencil_lab.core import Stencil, centered_difference_stencil, operator_matrix
 from stencil_lab.experiments import (
     DEFAULT_SEED,
     EXPERIMENT_NAMES,
     ExperimentConfig,
+    RunDir,
     default_training_config,
+    dispersion_csvs,
     learn_stencil,
     merge,
     nonstandard_target,
@@ -211,9 +214,8 @@ class TestRadius3:
 
     def test_dispersion(self, tmp_path, grid):
         run_dispersion(ExperimentConfig(name="dispersion", radius=3, output_dir=tmp_path / "disp"))
-        thetas = np.linspace(-np.pi, np.pi, 2 * 512)
-        write_symbol_csv(symbol(centered_difference_stencil(grid, 3), thetas), tmp_path / "sixth.csv")
-        assert (tmp_path / "disp" / "symbol_centered.csv").read_bytes() == (tmp_path / "sixth.csv").read_bytes()
+        dispersion_csvs(RunDir(tmp_path), centered_difference_stencil(grid, 3), 0.5 * grid.dx, 512, "_sixth")
+        assert (tmp_path / "disp" / "symbol_centered.csv").read_bytes() == (tmp_path / "symbol_sixth.csv").read_bytes()
 
 
 class TestSolverBench:
@@ -235,6 +237,35 @@ def test_manifest_lists_exactly_the_written_files(name, tmp_path):
     assert manifest["outputs"] == sorted(p.name for p in tmp_path.iterdir() if p.name != "manifest.json")
     assert manifest["solves"]
     assert all(s["stop_reason"] in ("tol", "max_iters", "exact") for s in manifest["solves"].values())
+
+
+_FLOATS = st.floats(allow_nan=False, width=64)
+_CELLS = st.one_of(_FLOATS, _FLOATS.map(np.float64), st.integers(), st.none())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_CELLS, min_size=1, max_size=8), max_size=8))
+@example([[0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7e308, -1.7e308]])
+@example([[np.float64(-0.0), np.float64(-5e-324), np.float64(1.7e308), 64, -3, None], [None]])
+def test_csv_cells_read_back_exactly(rows):
+    """RunDir.write_csv: floats read back bit for bit, ints as ints and
+    None as an empty cell."""
+    with tempfile.TemporaryDirectory() as root:
+        run = RunDir(root)
+        header = [f"c{k}" for k in range(8)]
+        run.write_csv("cells.csv", header, rows)
+        with open(run.root / "cells.csv", newline="") as fh:
+            back = list(csv.reader(fh))
+    assert back[0] == header and len(back) == len(rows) + 1
+    for cells, texts in zip(rows, back[1:]):
+        assert len(texts) == len(cells)
+        for v, text in zip(cells, texts):
+            if v is None:
+                assert text == ""
+            elif isinstance(v, int):
+                assert text == str(v) and int(text) == v
+            else:
+                assert struct.pack("<d", float(text)) == struct.pack("<d", v)
 
 
 def _finite(lo, hi):

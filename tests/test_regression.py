@@ -12,7 +12,6 @@ from stencil_lab.regression import (
     RegressionSystem,
     assemble_regression,
     build_skew_constraints,
-    dump_diagnostics,
     lift,
     objective_and_gradient,
     reduce_problem,
@@ -305,9 +304,11 @@ class TestObjective:
 def test_diagnostics_dump(system_r1, tmp_path):
     import json
 
-    path = tmp_path / "diag.json"
-    info = dump_diagnostics(system_r1, path)
-    on_disk = json.loads(path.read_text())
+    from stencil_lab.cli import main
+
+    # learn's defaults generate the default training set that system_r1 holds at R=1
+    assert main(["learn", "--method", "ref", "--out", str(tmp_path)]) == 0
+    on_disk = json.loads((tmp_path / "diagnostics.json").read_text())
     assert on_disk["rows"] == 25600 and on_disk["cols"] == 3
     assert np.allclose(on_disk["gram"], system_r1.gram)
-    assert info["lambda"] == system_r1.lam
+    assert on_disk["lambda"] == system_r1.lam

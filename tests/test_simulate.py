@@ -18,6 +18,7 @@ from stencil_lab.core import (
     operator_matrix,
     solve_refined,
 )
+from stencil_lab.experiments import RunDir, simulate_csvs
 from stencil_lab.simulate import (
     DenseCNStepper,
     SimConfig,
@@ -27,9 +28,6 @@ from stencil_lab.simulate import (
     simulate,
     single_mode_initial_condition,
     traveling_wave_exact,
-    write_energy_csv,
-    write_final_field_csv,
-    write_spacetime_csv,
 )
 
 
@@ -275,10 +273,7 @@ class TestRelativeError:
 class TestExports:
     def test_csv_files(self, grid, tmp_path):
         cfg = standard_config(grid, n_steps=10)
-        result = simulate(single_mode_initial_condition(grid), cfg, snapshot_every=5)
-        write_energy_csv(result, cfg, tmp_path / "energy.csv")
-        write_final_field_csv(result, grid, tmp_path / "final_field.csv")
-        write_spacetime_csv(result, cfg, tmp_path / "spacetime.csv")
+        result = simulate_csvs(RunDir(tmp_path), cfg, ("energy", "final_field", "spacetime"), snapshot_every=5)
 
         with open(tmp_path / "energy.csv") as fh:
             rows = list(csv.DictReader(fh))

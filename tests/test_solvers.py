@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stencil_lab.core import NumericalError
+from stencil_lab.experiments import RunDir
 from stencil_lab.regression import (
     RegressionSystem,
     assemble_regression,
@@ -374,12 +375,13 @@ class TestReportsAndDispatch:
 
     def test_json_and_csv(self, solver_reports, tmp_path):
         rep = solver_reports[ADMM]
-        rep.save_json(tmp_path / "r.json")
+        run = RunDir(tmp_path)
+        run.write_json("r.json", rep.to_dict())
         data = json.loads((tmp_path / "r.json").read_text())
         assert data["method"] == "ADMM"
         assert data["stop_reason"] == "tol"
         assert len(data["objective_trace"]) == rep.iterations
-        rep.save_csv(tmp_path / "r.csv")
+        run.write_trace("r.csv", rep)
         with open(tmp_path / "r.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == rep.iterations
