@@ -137,19 +137,22 @@ def _check_grid_vector(u: np.ndarray, grid: Grid1D, name: str = "u") -> np.ndarr
 
 
 def apply_stencil(stencil: Stencil, u: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Apply the periodic convolution (Du)_i = sum_l w_l u_{(i+l) mod N}.
+    """Apply the periodic convolution (Du)_i = sum_l w_l u_{(i+l) mod N}
+    along the last axis of u.
 
     Requires N >= 2R+1; smaller grids would make the wrap-around hit the
     same entry twice and silently break the circulant structure.
     """
-    u = _check_grid_vector(u, grid)
+    u = np.asarray(u, dtype=float)
+    if u.shape[-1:] != (grid.N,):
+        raise ValueError(f"u has shape {u.shape}, expected (..., {grid.N})")
     R = stencil.R
     if grid.N < 2 * R + 1:
         raise ValueError(f"grid N={grid.N} too small for stencil radius R={R} (need N >= {2 * R + 1})")
     out = np.zeros_like(u)
     for l, wl in zip(range(-R, R + 1), stencil.w):
         if wl != 0.0:
-            out += wl * np.roll(u, -l)
+            out += wl * np.roll(u, -l, axis=-1)
     return out
 
 

@@ -2,8 +2,8 @@
 
 Every solver works on regression.reduce_problem: the free coefficients a
 (w = P a) under the box |a| <= M, which is exactly the box |w| <= M. The
-skew constraint holds by construction and np.clip is the exact
-projection onto the feasible set.
+skew constraint holds by construction and clipping each coordinate to
+[-M, M] is the exact projection onto the feasible set.
 
 * solve_pg / solve_nag: projected gradient and its Nesterov-accelerated
   variant. The step alpha/2 on F(a) = f(P a) is the step alpha = 1/L on f
@@ -14,11 +14,18 @@ projection onto the feasible set.
 
 All solvers start from the zero stencil and record per-iteration traces
 of the objective, iterate change in w and wall-clock time.
+
+At these sizes an iteration costs the numpy calls it makes, not their
+arithmetic, so each iterate's H a is formed once and feeds the traced
+objective, the next gradient and NAG's mapping test. Clipping by
+np.minimum/np.maximum and the norm as sqrt(d @ d) give the bits of
+np.clip and np.linalg.norm at a fraction of their call overhead.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -42,7 +49,7 @@ REFERENCE = "REFERENCE"
 _DEFAULT_MAX_ITERS = {PG: 500, NAG: 500, ADMM: 100}
 
 # ||P a|| = sqrt(2) ||a||: iterate changes are reported and tested in w
-_W_NORM = np.sqrt(2.0)
+_W_NORM = math.sqrt(2.0)
 
 # (SolverReport field, trace-CSV column) of each trace, in the order _Trace records them
 TRACE_COLUMNS = (("objective_trace", "objective"), ("step_diff_trace", "step_diff"), ("time_trace", "elapsed_s"))
@@ -106,9 +113,10 @@ class _Trace:
         self.rows: list[tuple[float, float, float]] = []
         self._t0 = time.perf_counter()
 
-    def record(self, a: np.ndarray, diff: float) -> None:
-        f = self.prob.objective(a)
-        if not np.isfinite(f):
+    def record(self, a: np.ndarray, Ha: np.ndarray, diff: float) -> None:
+        """Ha is H @ a, which the caller has already formed."""
+        f = self.prob.objective(a, Ha)
+        if not math.isfinite(f):
             raise NumericalError(f"{self.method}: objective became non-finite at iteration {len(self.rows) + 1}")
         self.rows.append((f, diff, time.perf_counter() - self._t0))
 
@@ -139,17 +147,29 @@ def _stepsize(sys: RegressionSystem, opts: SolverOptions) -> float:
     return 0.5 / lip if lip > 0.0 else 0.5
 
 
+def _clip(a: np.ndarray, M: float) -> np.ndarray:
+    return np.minimum(np.maximum(a, -M), M)
+
+
+def _w_dist(a: np.ndarray, b: np.ndarray) -> float:
+    """||P a - P b||, the iterate change in w."""
+    d = a - b
+    return _W_NORM * math.sqrt(d @ d)
+
+
 def solve_pg(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = SolverOptions()) -> SolverReport:
     """Projected gradient: a <- clip(a - alpha/2 grad F(a)). Monotone
     descent for alpha <= 1/L; every iterate is feasible by construction."""
     prob, trace = _setup(PG, sys, cs)
     step = _stepsize(sys, opts)
+    H, g, M = prob.H, prob.g, prob.M
     a = np.zeros(prob.R)
+    Ha = H @ a
     for _ in range(opts.resolve_max_iters(PG)):
-        a_new = np.clip(a - step * prob.gradient(a), -prob.M, prob.M)
-        diff = _W_NORM * float(np.linalg.norm(a_new - a))
-        trace.record(a_new, diff)
-        a = a_new
+        a_new = _clip(a - step * (Ha - g), M)
+        diff = _w_dist(a_new, a)
+        a, Ha = a_new, H @ a_new
+        trace.record(a, Ha, diff)
         if diff <= opts.tol:
             return trace.report(a, "tol")
     return trace.report(a, "max_iters")
@@ -162,17 +182,18 @@ def solve_nag(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = 
     oscillate; stopping uses the projected-gradient mapping."""
     prob, trace = _setup(NAG, sys, cs)
     step = _stepsize(sys, opts)
+    H, g, M = prob.H, prob.g, prob.M
     a = np.zeros(prob.R)
     a_prev = a.copy()
     t = 1.0
     for _ in range(opts.resolve_max_iters(NAG)):
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_next
         y = a + beta * (a - a_prev)
-        a_new = np.clip(y - step * prob.gradient(y), -prob.M, prob.M)
-        trace.record(a_new, _W_NORM * float(np.linalg.norm(a_new - a)))
-        mapped = np.clip(a_new - step * prob.gradient(a_new), -prob.M, prob.M)
-        mapping = _W_NORM * float(np.linalg.norm(a_new - mapped))
+        a_new = _clip(y - step * (H @ y - g), M)
+        Ha_new = H @ a_new
+        trace.record(a_new, Ha_new, _w_dist(a_new, a))
+        mapping = _w_dist(a_new, _clip(a_new - step * (Ha_new - g), M))
         a_prev, a, t = a, a_new, t_next
         if mapping <= opts.tol:
             return trace.report(a, "tol")
@@ -201,10 +222,10 @@ def solve_admm(
     a, z, u = (skew_coordinates(v) for v in (zeros if init is None else init))
     for _ in range(opts.resolve_max_iters(ADMM)):
         a_new = np.linalg.solve(K, prob.g + rho2 * (z - u))
-        z = np.clip(a_new + u, -prob.M, prob.M)
+        z = _clip(a_new + u, prob.M)
         u = u + a_new - z
-        diff = _W_NORM * float(np.linalg.norm(a_new - a))
-        trace.record(a_new, diff)
+        diff = _w_dist(a_new, a)
+        trace.record(a_new, prob.H @ a_new, diff)
         a = a_new
         if diff <= opts.tol:
             return trace.report(z, "tol")
@@ -251,7 +272,7 @@ def solve_reference(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOpti
         a = _box_qp(prob)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("reference solver: singular reduced Hessian") from exc
-    trace.record(a, _W_NORM * float(np.linalg.norm(a)))
+    trace.record(a, prob.H @ a, _W_NORM * math.sqrt(a @ a))
     return trace.report(a, "exact")
 
 

@@ -8,7 +8,9 @@ derivatives only, leaving the states clean.
 
 Randomness comes from numpy's PCG64 generator; each sample uses its own
 stream seeded by (seed, sample index), so generation is reproducible and
-order-independent across samples.
+order-independent across samples. The derivatives of all samples are
+taken in one call on the (n_sims, 2, N) stack, which gives the same bits
+as differentiating each field on its own.
 """
 
 from __future__ import annotations
@@ -68,12 +70,12 @@ class TrainingSet:
 
 
 def spectral_derivative(u: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Differentiate a periodic real signal via the FFT: ifft(i k fft(u))
-    with k = 2 pi m / L. The Nyquist mode (even N) has no well-defined
-    odd derivative and is zeroed."""
+    """Differentiate periodic real signals along the last axis via the FFT:
+    ifft(i k fft(u)) with k = 2 pi m / L. The Nyquist mode (even N) has no
+    well-defined odd derivative and is zeroed."""
     u = np.asarray(u, dtype=float)
-    if u.shape != (grid.N,):
-        raise ValueError(f"u has shape {u.shape}, expected ({grid.N},)")
+    if u.shape[-1:] != (grid.N,):
+        raise ValueError(f"u has shape {u.shape}, expected (..., {grid.N})")
     k = 2.0 * np.pi * np.fft.rfftfreq(grid.N, d=grid.dx)
     mult = 1j * k
     if grid.N % 2 == 0:
@@ -98,14 +100,15 @@ def _sample_fields(rng: np.random.Generator, cfg: TrainingConfig) -> np.ndarray:
 def _generate(cfg: TrainingConfig, derivative) -> TrainingSet:
     n, N = cfg.n_sims, cfg.grid.N
     states = np.empty((n, 2, N))
-    derivs = np.empty((n, 2, N))
+    noise = np.empty((n, 2, N)) if cfg.noise_std > 0 else None
     for s in range(n):
         rng = np.random.default_rng([cfg.seed, s])
         states[s] = _sample_fields(rng, cfg)
-        derivs[s, 0] = derivative(states[s, 1])  # dE/dt = d_x H
-        derivs[s, 1] = derivative(states[s, 0])  # dH/dt = d_x E
-        if cfg.noise_std > 0:
-            derivs[s] += rng.normal(0.0, cfg.noise_std, size=(2, N))
+        if noise is not None:
+            noise[s] = rng.normal(0.0, cfg.noise_std, size=(2, N))
+    derivs = derivative(states[:, ::-1])  # dE/dt = d_x H, dH/dt = d_x E
+    if noise is not None:
+        derivs += noise
     return TrainingSet(states=states, derivatives=derivs, config=cfg)
 
 
@@ -141,18 +144,35 @@ def save_training_set(ts: TrainingSet, path: str | Path) -> None:
 _FILE_KEYS = ("states", "derivatives", "n_sims", "N", "L", "m_max", "seed", "sigma", "amplitude_std")
 
 
+def _open_archive(path: str | Path) -> np.lib.npyio.NpzFile:
+    try:
+        data = np.load(Path(path))
+    except ValueError:  # neither zip nor .npy magic: numpy would offer to unpickle the file
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"training file {path} is not a training .npz archive")
+    return data
+
+
+def _integer_field(data: np.lib.npyio.NpzFile, key: str, path: str | Path) -> int:
+    value = data[key]
+    if value.dtype.kind not in "iu":
+        raise ValueError(f"training file {path}: header field {key} must be an integer, got {value}")
+    return int(value)
+
+
 def load_training_set(path: str | Path) -> TrainingSet:
     """Inverse of save_training_set; a malformed file raises ValueError."""
     try:
-        with np.load(Path(path)) as data:
+        with _open_archive(path) as data:
             missing = [key for key in _FILE_KEYS if key not in data]
             if missing:
                 raise ValueError(f"training file {path} lacks key(s): {', '.join(missing)}")
             cfg = TrainingConfig(
-                n_sims=int(data["n_sims"]),
-                m_max=int(data["m_max"]),
-                grid=Grid1D(N=int(data["N"]), L=float(data["L"])),
-                seed=int(data["seed"]),
+                n_sims=_integer_field(data, "n_sims", path),
+                m_max=_integer_field(data, "m_max", path),
+                grid=Grid1D(N=_integer_field(data, "N", path), L=float(data["L"])),
+                seed=_integer_field(data, "seed", path),
                 amplitude_std=float(data["amplitude_std"]),
                 noise_std=float(data["sigma"]),
             )

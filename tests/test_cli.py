@@ -298,6 +298,26 @@ class TestExitCodes:
         assert proc.stderr.strip().splitlines() == [proc.stderr.strip()]
         assert proc.stderr.startswith(f"error: training file {path}")
 
+    @pytest.mark.parametrize("key, value", [("N", 16.5), ("m_max", 2.9), ("n_sims", 2.0), ("seed", 1.5)])
+    def test_non_integer_training_header_is_two(self, tmp_path, key, value):
+        path = tmp_path / "bad.npz"
+        save_training_set(generate_training_set(TrainingConfig(n_sims=2, m_max=2, grid=Grid1D(N=16), seed=1)), path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        np.savez(path, **{**arrays, key: np.array(value)})
+        proc = run_cli("learn", "--method", "admm", "--data", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == f"error: training file {path}: header field {key} must be an integer, got {value}"
+        assert not (tmp_path / "out" / "stencil.json").exists()
+
+    @pytest.mark.parametrize("content", [b"hello\n", np.zeros(3).tobytes()], ids=["text", "raw-floats"])
+    def test_training_file_not_npz_is_two(self, tmp_path, content):
+        path = tmp_path / "notnpz.npz"
+        path.write_bytes(content)
+        proc = run_cli("learn", "--method", "admm", "--data", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == f"error: training file {path} is not a training .npz archive"
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_dispersion_without_samples_is_two(self, tmp_path, samples):
         save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")

@@ -135,6 +135,91 @@ def random_system(seed, R, box_scale=None):
     return RegressionSystem.from_dense(A, b, lam=lam, M=box_scale * float(np.max(np.abs(a_free))))
 
 
+# Reference loops in which the objective and the gradient each form H a,
+# with np.clip and np.linalg.norm. The solvers form each iterate's H a
+# once; every report field but time_trace must keep these bits, and a
+# non-finite objective must stop both at the same iteration.
+
+def looped_solve(method, sys, opts):
+    prob = reduce_problem(sys)
+    H, g, M = prob.H, prob.g, prob.M
+    rows = []
+
+    def record(a, diff):
+        f = 0.5 * float(a @ (H @ a)) - float(g @ a) + 0.5 * prob.btb
+        if not np.isfinite(f):
+            raise NumericalError(f"{method}: objective became non-finite at iteration {len(rows) + 1}")
+        rows.append((f, diff))
+
+    def report(a, reason):
+        objective, step_diff = np.array(rows).T
+        return lift(a), objective, step_diff, len(rows), reason
+
+    def norm_w(d):
+        return np.sqrt(2.0) * float(np.linalg.norm(d))
+
+    if opts.step is not None:
+        step = 0.5 * opts.step
+    else:
+        lip = np.linalg.eigvalsh(sys.gram)[-1] + sys.lam
+        step = 0.5 / lip if lip > 0.0 else 0.5
+    a = np.zeros(prob.R)
+    if method == PG:
+        for _ in range(opts.resolve_max_iters(PG)):
+            a_new = np.clip(a - step * (H @ a - g), -M, M)
+            diff = norm_w(a_new - a)
+            record(a_new, diff)
+            a = a_new
+            if diff <= opts.tol:
+                return report(a, "tol")
+        return report(a, "max_iters")
+    if method == NAG:
+        a_prev, t = a.copy(), 1.0
+        for _ in range(opts.resolve_max_iters(NAG)):
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            y = a + (t - 1.0) / t_next * (a - a_prev)
+            a_new = np.clip(y - step * (H @ y - g), -M, M)
+            record(a_new, norm_w(a_new - a))
+            mapping = norm_w(a_new - np.clip(a_new - step * (H @ a_new - g), -M, M))
+            a_prev, a, t = a, a_new, t_next
+            if mapping <= opts.tol:
+                return report(a, "tol")
+        return report(a, "max_iters")
+    rho2 = 2.0 * opts.rho
+    K = H + rho2 * np.eye(prob.R)
+    z, u = np.zeros(prob.R), np.zeros(prob.R)
+    for _ in range(opts.resolve_max_iters(ADMM)):
+        a_new = np.linalg.solve(K, g + rho2 * (z - u))
+        z = np.clip(a_new + u, -M, M)
+        u = u + a_new - z
+        diff = norm_w(a_new - a)
+        record(a_new, diff)
+        a = a_new
+        if diff <= opts.tol:
+            return report(z, "tol")
+    return report(z, "max_iters")
+
+
+def assert_matches_loop(method, sys, opts):
+    """The solver and looped_solve give the same bits, or both raise
+    NumericalError with the same message; returns the iteration the
+    message names, or None when both returned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            expected = looped_solve(method, sys, opts)
+        except NumericalError as exc:
+            with pytest.raises(NumericalError) as raised:
+                solve(method, sys, build_skew_constraints(sys.R), opts)
+            assert str(raised.value) == str(exc)
+            assert str(exc).startswith(f"{method}: objective became non-finite at iteration ")
+            return int(str(exc).rsplit(" ", 1)[1])
+        rep = solve(method, sys, build_skew_constraints(sys.R), opts)
+    got = (rep.w_final, rep.objective_trace, rep.step_diff_trace, rep.iterations, rep.stop_reason)
+    for x, y in zip(got, expected):
+        assert np.array_equal(x, y)
+    return None
+
+
 def assert_kkt(sys, w, tol=1e-9):
     prob = reduce_problem(sys)
     a = skew_coordinates(w)
@@ -194,9 +279,7 @@ class TestProjectedGradient:
 
     def test_nonfinite_objective_aborts(self, training_set):
         unboxed = assemble_regression(training_set, R=1, M=np.inf)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError):
-                solve_pg(unboxed, build_skew_constraints(1), SolverOptions(step=1e12, max_iters=200))
+        assert assert_matches_loop(PG, unboxed, SolverOptions(step=1e12, max_iters=200)) > 1
 
 
 class TestNesterov:
@@ -224,8 +307,19 @@ class TestNesterov:
         rep = solve_nag(small_box, build_skew_constraints(1))
         assert np.array_equal(rep.w_final, [-1.0, 0.0, 1.0])
 
+    def test_nonfinite_objective_aborts(self, training_set):
+        unboxed = assemble_regression(training_set, R=1, M=np.inf)
+        assert assert_matches_loop(NAG, unboxed, SolverOptions(step=1e12, max_iters=200)) > 1
+
 
 class TestADMM:
+    def test_nonfinite_objective_aborts(self):
+        """A negative definite gram is no least-squares problem, but it makes
+        ADMM's iterates triple each step (H = -2, K = H + 2 rho = 1), so the
+        objective overflows hundreds of iterations in."""
+        indefinite = RegressionSystem(gram=-np.eye(3), atb=np.array([-1.0, 0.0, 1.0]), btb=1.0, rows=1, lam=0.0, M=np.inf)
+        assert assert_matches_loop(ADMM, indefinite, SolverOptions(rho=1.5, max_iters=2000)) > 100
+
     def test_default_problem(self, solver_reports):
         rep = solver_reports[ADMM]
         assert abs(rep.w_final[1]) <= 1e-12
@@ -348,6 +442,28 @@ class TestReducedMatchesFullSpace:
         w = solve_admm(sys_, build_skew_constraints(R), SolverOptions(max_iters=iters, tol=1e-300, rho=rho)).w_final
         w_ref = full_space_admm(sys_, rho, iters)
         assert np.max(np.abs(w - w_ref)) <= 1e-10 * max(1.0, np.max(np.abs(w_ref)))
+
+
+class TestMatchesLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(method=st.sampled_from([PG, NAG, ADMM]), seed=st.none() | st.integers(0, 2**32 - 1), R=st.integers(1, 5),
+           scale=st.sampled_from([None, 0.3, 0.9, 2.0]), max_iters=st.none() | st.integers(1, 600),
+           tol=st.floats(-14.0, -2.0).map(lambda e: 10.0**e), rho=st.floats(0.01, 5.0),
+           step=st.sampled_from([None, None, None, 1e12]))
+    def test_reports_bit_for_bit(self, training_set, method, seed, R, scale, max_iters, tol, rho, step):
+        """seed=None solves on the default data, where PG and NAG run to
+        their cap at R >= 2; a seed draws a well-conditioned random system.
+        A scale puts the box at that multiple of the largest unboxed
+        coefficient, so it is active below 1."""
+        if seed is None:
+            sys_ = assemble_regression(training_set, R=R)
+            if scale is not None:
+                prob = reduce_problem(sys_)
+                a_free = np.linalg.solve(prob.H, prob.g)
+                sys_ = assemble_regression(training_set, R=R, M=scale * float(np.max(np.abs(a_free))))
+        else:
+            sys_ = random_system(seed, R, box_scale=scale)
+        assert_matches_loop(method, sys_, SolverOptions(max_iters=max_iters, tol=tol, rho=rho, step=step))
 
 
 class TestFeasibilityAcrossMethods:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stencil_lab.core import Grid1D, apply_stencil
+from stencil_lab.core import Grid1D, Stencil, apply_stencil
 from stencil_lab.experiments import nonstandard_target
 from stencil_lab.training import (
     TrainingConfig,
@@ -90,6 +92,108 @@ class TestGeneration:
         for s in range(0, 20, 7):
             expected = apply_stencil(target, ts.states[s, 1], grid)
             assert np.max(np.abs(ts.derivatives[s, 0] - expected)) <= 1e-12
+
+
+# The per-sample form of generation: one stream per sample and one
+# derivative call per field vector. Generation differentiates the whole
+# (n_sims, 2, N) stack in one call and must give these bits exactly.
+
+def _vector_spectral_derivative(u, grid):
+    k = 2.0 * np.pi * np.fft.rfftfreq(grid.N, d=grid.dx)
+    mult = 1j * k
+    if grid.N % 2 == 0:
+        mult[-1] = 0.0
+    return np.fft.irfft(mult * np.fft.rfft(u), n=grid.N)
+
+
+def _vector_apply_stencil(stencil, u):
+    out = np.zeros_like(u)
+    for l, wl in zip(range(-stencil.R, stencil.R + 1), stencil.w):
+        if wl != 0.0:
+            out += wl * np.roll(u, -l)
+    return out
+
+
+def _per_sample_fields(rng, cfg):
+    grid = cfg.grid
+    modes = np.arange(1, cfg.m_max + 1)
+    phase_arg = 2.0 * np.pi * np.outer(modes, grid.x) / grid.L
+    state = np.empty((2, grid.N))
+    for row in range(2):
+        amps = rng.normal(0.0, cfg.amplitude_std, size=cfg.m_max)
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=cfg.m_max)
+        state[row] = amps @ np.sin(phase_arg + phases[:, None])
+    return state
+
+
+def _per_sample_generate(cfg, derivative):
+    n, N = cfg.n_sims, cfg.grid.N
+    states = np.empty((n, 2, N))
+    derivs = np.empty((n, 2, N))
+    for s in range(n):
+        rng = np.random.default_rng([cfg.seed, s])
+        states[s] = _per_sample_fields(rng, cfg)
+        derivs[s, 0] = derivative(states[s, 1])
+        derivs[s, 1] = derivative(states[s, 0])
+        if cfg.noise_std > 0:
+            derivs[s] += rng.normal(0.0, cfg.noise_std, size=(2, N))
+    return states, derivs
+
+
+@st.composite
+def _configs(draw):
+    N = draw(st.integers(3, 300))
+    return TrainingConfig(
+        n_sims=draw(st.integers(1, 30)),
+        m_max=draw(st.integers(1, (N - 1) // 2)),
+        grid=Grid1D(N=N, L=draw(st.sampled_from([1.0, 2.5, 2 * np.pi]))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        amplitude_std=draw(st.sampled_from([1.0, 0.3, 7.0])),
+        noise_std=draw(st.sampled_from([0.0, 0.0, 1e-3, 0.5])),
+    )
+
+
+class TestStackedGeneration:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=_configs(), R=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @example(cfg=TrainingConfig(n_sims=3, m_max=5, grid=Grid1D(N=4096), seed=1, noise_std=0.1), R=3, seed=0)
+    @example(cfg=TrainingConfig(n_sims=2, m_max=1, grid=Grid1D(N=3), seed=9), R=1, seed=1)
+    def test_equals_per_sample_loop(self, cfg, R, seed):
+        ts = generate_training_set(cfg)
+        states, derivs = _per_sample_generate(cfg, lambda u: _vector_spectral_derivative(u, cfg.grid))
+        assert np.array_equal(ts.states, states)
+        assert np.array_equal(ts.derivatives, derivs)
+
+        R = min(R, (cfg.grid.N - 1) // 2)
+        target = Stencil(w=np.random.default_rng(seed).normal(size=2 * R + 1) / cfg.grid.dx, dx=cfg.grid.dx)
+        ts = generate_operator_training_set(cfg, target)
+        states, derivs = _per_sample_generate(cfg, lambda u: _vector_apply_stencil(target, u))
+        assert np.array_equal(ts.states, states)
+        assert np.array_equal(ts.derivatives, derivs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 12), N=st.integers(3, 200), R=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_stack_equals_rows(self, n, N, R, seed):
+        grid = Grid1D(N=N, L=1.7)
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(size=(n, 2, N))
+        R = min(R, (N - 1) // 2)
+        stencil = Stencil(w=rng.normal(size=2 * R + 1), dx=grid.dx)
+        for view in (stack, stack[:, ::-1]):
+            spectral = spectral_derivative(view, grid)
+            applied = apply_stencil(stencil, view, grid)
+            for s in range(n):
+                for row in range(2):
+                    assert np.array_equal(spectral[s, row], spectral_derivative(view[s, row], grid))
+                    assert np.array_equal(applied[s, row], apply_stencil(stencil, view[s, row], grid))
+
+    def test_trailing_length_must_be_n(self, grid):
+        stencil = Stencil(w=np.array([-1.0, 0.0, 1.0]), dx=grid.dx)
+        for u in (np.zeros(63), np.zeros((2, 65)), np.zeros((64, 2)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="expected"):
+                spectral_derivative(u, grid)
+            with pytest.raises(ValueError, match="expected"):
+                apply_stencil(stencil, u, grid)
 
 
 class TestValidation:
