@@ -69,8 +69,8 @@ def cfl_bound(stencil: Stencil) -> float:
 def cn_dispersion(stencil: Stencil, dt: float, thetas: np.ndarray | Sequence[float]) -> DispersionCurves:
     """Crank-Nicolson one-step eigenvalue per mode,
     mu_CN = (1 + (dt/2) lam) / (1 - (dt/2) lam) with lam the stencil symbol."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if np.any(thetas == 0.0):
         raise ValueError("thetas must be nonzero (phase ratio divides by theta)")

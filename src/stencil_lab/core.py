@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, isfinite, lcm
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +34,8 @@ class Grid1D:
     def __post_init__(self):
         if self.N < 3:
             raise ValueError(f"grid needs N >= 3, got N={self.N}")
-        if self.L <= 0:
-            raise ValueError(f"domain length must be positive, got L={self.L}")
+        if not (isfinite(self.L) and self.L > 0):
+            raise ValueError(f"domain length must be positive and finite, got L={self.L}")
 
     @property
     def dx(self) -> float:
@@ -63,8 +63,8 @@ class Stencil:
             raise ValueError(f"stencil must hold 2R+1 >= 3 coefficients, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
             raise ValueError("stencil coefficients must be finite")
-        if self.dx <= 0:
-            raise ValueError(f"dx must be positive, got {self.dx}")
+        if not (isfinite(self.dx) and self.dx > 0):
+            raise ValueError(f"dx must be positive and finite, got {self.dx}")
 
     @property
     def R(self) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import zipfile
 from dataclasses import dataclass, replace
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -41,10 +42,10 @@ class TrainingConfig:
                 f"m_max must satisfy 1 <= m_max < N/2 so all modes are resolved, "
                 f"got m_max={self.m_max} with N={self.grid.N}"
             )
-        if self.amplitude_std <= 0:
-            raise ValueError("amplitude_std must be positive")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        if not (isfinite(self.amplitude_std) and self.amplitude_std > 0):
+            raise ValueError(f"amplitude_std must be positive and finite, got {self.amplitude_std}")
+        if not (isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be nonnegative and finite, got {self.noise_std}")
 
     def with_grid(self, grid: Grid1D) -> "TrainingConfig":
         """Same sampling parameters on a different grid (convergence studies)."""
@@ -161,6 +162,13 @@ def _integer_field(data: np.lib.npyio.NpzFile, key: str, path: str | Path) -> in
     return int(value)
 
 
+def _number_field(data: np.lib.npyio.NpzFile, key: str, path: str | Path) -> float:
+    value = data[key]
+    if value.dtype.kind not in "iuf":
+        raise ValueError(f"training file {path}: header field {key} must be a number, got {value}")
+    return float(value)
+
+
 def load_training_set(path: str | Path) -> TrainingSet:
     """Inverse of save_training_set; a malformed file raises ValueError."""
     try:
@@ -171,10 +179,10 @@ def load_training_set(path: str | Path) -> TrainingSet:
             cfg = TrainingConfig(
                 n_sims=_integer_field(data, "n_sims", path),
                 m_max=_integer_field(data, "m_max", path),
-                grid=Grid1D(N=_integer_field(data, "N", path), L=float(data["L"])),
+                grid=Grid1D(N=_integer_field(data, "N", path), L=_number_field(data, "L", path)),
                 seed=_integer_field(data, "seed", path),
-                amplitude_std=float(data["amplitude_std"]),
-                noise_std=float(data["sigma"]),
+                amplitude_std=_number_field(data, "amplitude_std", path),
+                noise_std=_number_field(data, "sigma", path),
             )
             return TrainingSet(states=data["states"], derivatives=data["derivatives"], config=cfg)
     except (EOFError, zipfile.BadZipFile, TypeError) as exc:

@@ -310,6 +310,46 @@ class TestExitCodes:
         assert proc.stderr.strip() == f"error: training file {path}: header field {key} must be an integer, got {value}"
         assert not (tmp_path / "out" / "stencil.json").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("L", np.nan, "domain length must be positive and finite, got L=nan"),
+        ("sigma", np.nan, "noise_std must be nonnegative and finite, got nan"),
+        ("amplitude_std", np.inf, "amplitude_std must be positive and finite, got inf"),
+        ("L", "one", "training file {path}: header field L must be a number, got one"),
+    ], ids=["L-nan", "sigma-nan", "amplitude_std-inf", "L-text"])
+    def test_bad_training_number_header_is_two(self, tmp_path, key, value, message):
+        path = tmp_path / "bad.npz"
+        save_training_set(generate_training_set(TrainingConfig(n_sims=2, m_max=2, grid=Grid1D(N=16), seed=1)), path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        np.savez(path, **{**arrays, key: np.array(value)})
+        proc = run_cli("learn", "--method", "admm", "--data", str(path), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == "error: " + message.format(path=path)
+        assert not (tmp_path / "out" / "stencil.json").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--length", "nan", "domain length must be positive and finite, got L=nan"),
+        ("--sigma", "nan", "noise_std must be nonnegative and finite, got nan"),
+        ("--amplitude-std", "inf", "amplitude_std must be positive and finite, got inf"),
+    ], ids=["length-nan", "sigma-nan", "amplitude_std-inf"])
+    def test_non_finite_training_flag_is_two(self, tmp_path, flag, value, message):
+        proc = run_cli("gen-data", flag, value, "--n-sims", "2", "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == f"error: {message}"
+        assert not (tmp_path / "training_data.npz").exists()
+
+    @pytest.mark.parametrize("dx, flags, message", [
+        ("NaN", [], "dx must be positive and finite, got nan"),
+        ("0.015625", ["--dt", "nan"], "dt must be positive and finite, got nan"),
+    ], ids=["stencil-dx", "dt"])
+    def test_non_finite_dispersion_value_is_two(self, tmp_path, dx, flags, message):
+        # json reads the bare token NaN as a float
+        (tmp_path / "s.json").write_text(f'{{"R": 1, "w": [-32, 0, 32], "dx": {dx}}}')
+        proc = run_cli("dispersion", "--stencil", str(tmp_path / "s.json"), *flags, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == f"error: {message}"
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize("content", [b"hello\n", np.zeros(3).tobytes()], ids=["text", "raw-floats"])
     def test_training_file_not_npz_is_two(self, tmp_path, content):
         path = tmp_path / "notnpz.npz"

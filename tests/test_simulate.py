@@ -1,4 +1,6 @@
 import csv
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,17 +13,20 @@ from stencil_lab.core import (
     Grid1D,
     NumericalError,
     Stencil,
+    apply_stencil,
     centered_difference_stencil,
     circulant,
     discrete_energy,
     fourier_symbol,
     operator_matrix,
+    real_fft,
     solve_refined,
 )
 from stencil_lab.experiments import RunDir, simulate_csvs
 from stencil_lab.simulate import (
     DenseCNStepper,
     SimConfig,
+    SimResult,
     SpectralCNStepper,
     cn_multiplier,
     relative_l2_error,
@@ -38,8 +43,7 @@ def standard_config(grid, stencil=None, dt_ratio=0.5, n_steps=300):
 
 
 def dense_step(cfg, f):
-    stepper = DenseCNStepper(cfg)
-    return stepper.fields(stepper.advance(stepper.load(f)))
+    return simulate(f, replace(cfg, n_steps=1)).final
 
 
 def state_norm(f):
@@ -210,7 +214,7 @@ class TestEngineStructure:
             w[R] = rng.uniform(-0.1, 0.1) / grid.dx
         cfg = standard_config(grid, Stencil(w, grid.dx), dt_ratio=-dt_ratio if backward else dt_ratio, n_steps=1)
         stepper = DenseCNStepper(cfg)
-        for S, oracle, sign in zip((stepper._S_p, stepper._S_q), n_rhs_cayley(cfg), (1.0, -1.0)):
+        for S, oracle, sign in zip((stepper.cayley(+1), stepper.cayley(-1)), n_rhs_cayley(cfg), (1.0, -1.0)):
             exact = fft_cayley(cfg, sign)
             tol = 1e-14 * max(1.0, np.max(np.abs(exact)))
             # LU pivot growth can leave the N-column build itself off (4e-9 in the second
@@ -226,7 +230,122 @@ class TestEngineStructure:
         grid = Grid1D(N=N)
         f = FieldPair(rng.normal(size=N) * 10.0**scale, rng.normal(size=N) * 10.0**scale)
         stepper = SpectralCNStepper(standard_config(grid, n_steps=1))
-        assert stepper.energy(stepper.load(f)) == pytest.approx(discrete_energy(f, grid), rel=1e-14)
+        p, q = stepper.load(f)
+        energy = stepper.scale * (stepper.sq_norm(p) + stepper.sq_norm(q))
+        assert energy == pytest.approx(discrete_energy(f, grid), rel=1e-14)
+
+
+def lockstep_simulate(init, cfg, snapshot_every, engine):
+    """Reference: p and q stepped together, the energy checked after each
+    step. This was simulate's loop before it ran the chains one by one."""
+    grid, n = cfg.grid, cfg.n_steps
+    if engine == "dense":
+        e0 = np.eye(1, grid.N)[0]
+        hd = 0.5 * cfg.dt * apply_stencil(cfg.stencil, e0, grid)
+        S_p = circulant(solve_refined(circulant(e0 - hd), e0 + hd))
+        S_q = circulant(solve_refined(circulant(e0 + hd), e0 - hd))
+        p, q = init.E + init.H, init.E - init.H
+
+        def advance(p, q):
+            return S_p @ p, S_q @ q
+
+        def energy(p, q):
+            return 0.25 * grid.dx * float(p @ p + q @ q)
+
+        def fields(p, q):
+            return FieldPair(E=0.5 * (p + q), H=0.5 * (p - q))
+    else:
+        mu = fourier_symbol(cfg.stencil, 2.0 * np.pi * np.fft.fftfreq(grid.N))
+        mult_p, mult_q = cn_multiplier(mu, cfg.dt), cn_multiplier(-mu, cfg.dt)
+        Ef, Hf = real_fft(init.E), real_fft(init.H)
+        p, q = Ef + Hf, Ef - Hf
+
+        def advance(p, q):
+            return mult_p * p, mult_q * q
+
+        def energy(p, q):
+            return 0.25 * grid.dx / grid.N * float((np.vdot(p, p) + np.vdot(q, q)).real)
+
+        def fields(p, q):
+            return FieldPair(E=np.fft.ifft(0.5 * (p + q)).real, H=np.fft.ifft(0.5 * (p - q)).real)
+
+    energies = np.empty(n + 1)
+    energies[0] = discrete_energy(init, grid)
+    steps, snapshots = ([0], [init]) if snapshot_every is not None else ([], [])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n + 1):
+            p, q = advance(p, q)
+            energies[step] = energy(p, q)
+            if not np.isfinite(energies[step]):
+                raise NumericalError(f"energy became non-finite at step {step} (unstable discretization)")
+            if snapshot_every is not None and (step % snapshot_every == 0 or step == n):
+                steps.append(step)
+                snapshots.append(fields(p, q))
+    return SimResult(final=fields(p, q) if n > 0 else init, energy_series=energies, snapshot_steps=steps,
+                     snapshots=snapshots)
+
+
+def outcome(run, *args):
+    try:
+        return run(*args)
+    except NumericalError as exc:
+        return str(exc)
+
+
+def same_fields(a, b):
+    return np.array_equal(a.E, b.E) and np.array_equal(a.H, b.H)
+
+
+class TestChainMajor:
+    @settings(max_examples=60, deadline=None)
+    @given(w=st.integers(1, 4).flatmap(lambda R: st.lists(st.floats(-1.0, 1.0), min_size=2 * R + 1, max_size=2 * R + 1)),
+           skew=st.booleans(), extra_cells=st.integers(0, 291), dt_ratio=st.floats(0.05, 4.0), backward=st.booleans(),
+           n_steps=st.integers(0, 60), snapshot_every=st.none() | st.integers(1, 7),
+           seed=st.none() | st.integers(0, 2**32 - 1))
+    # w in units of 1/dx at N=64: the stencils (-120, 0, -120) and (0, -64, 64) of the unstable-run tests,
+    # non-finite at step 105 on both engines and at step 356 dense, 355 spectral
+    @example(w=[-1.875, 0.0, -1.875], skew=False, extra_cells=61, dt_ratio=0.5, backward=False, n_steps=400,
+             snapshot_every=None, seed=None)
+    @example(w=[0.0, -1.0, 1.0], skew=False, extra_cells=61, dt_ratio=0.5, backward=False, n_steps=400,
+             snapshot_every=3, seed=None)
+    def test_bit_identical_to_lockstep_loop(self, w, skew, extra_cells, dt_ratio, backward, n_steps, snapshot_every, seed):
+        """Running p to the end and then q gives the lockstep loop's fields,
+        energies and snapshots bit for bit, or its error at the same step."""
+        w = np.array(w)
+        if skew:
+            w = 0.5 * (w - w[::-1])
+        grid = Grid1D(N=w.size + extra_cells)
+        cfg = standard_config(grid, Stencil(w / grid.dx, grid.dx), dt_ratio=-dt_ratio if backward else dt_ratio,
+                              n_steps=n_steps)
+        if seed is None:
+            init = single_mode_initial_condition(grid)
+        else:
+            rng = np.random.default_rng(seed)
+            init = FieldPair(rng.normal(size=grid.N), rng.normal(size=grid.N))
+        for engine in ("dense", "spectral"):
+            want = outcome(lockstep_simulate, init, cfg, snapshot_every, engine)
+            got = outcome(simulate, init, cfg, snapshot_every, engine)
+            if isinstance(want, str) or isinstance(got, str):
+                assert got == want
+                continue
+            assert same_fields(got.final, want.final)
+            assert np.array_equal(got.energy_series, want.energy_series)
+            assert got.snapshot_steps == want.snapshot_steps
+            assert len(got.snapshots) == len(want.snapshots)
+            assert all(same_fields(a, b) for a, b in zip(got.snapshots, want.snapshots))
+
+    def test_dense_run_holds_one_matrix_at_a_time(self):
+        grid = Grid1D(N=512)
+        cfg = standard_config(grid)
+        init = single_mode_initial_condition(grid)
+        tracemalloc.start()
+        try:
+            simulate(init, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # both Cayley matrices alive at once would be 2 N^2 doubles
+        assert peak <= 1.5 * grid.N**2 * 8
 
 
 class TestTravelingWave:
