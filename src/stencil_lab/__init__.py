@@ -16,7 +16,6 @@ from .core import (
     discrete_energy,
     inner_product,
     load_stencil,
-    operator_matrix,
     save_stencil,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "discrete_energy",
     "inner_product",
     "load_stencil",
-    "operator_matrix",
     "save_stencil",
     "__version__",
 ]

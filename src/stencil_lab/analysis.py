@@ -115,8 +115,9 @@ def convergence_study(
     thousands of steps at the finest grid, and the engine is exact for
     the same one-step map (agreement with the dense engine is tested).
     """
-    if T <= 0 or dt_ratio <= 0:
-        raise ValueError("T and dt_ratio must be positive")
+    for name, value in (("final time T", T), ("dt_ratio", dt_ratio)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if list(resolutions) != sorted(set(resolutions)):
         raise ValueError("resolutions must be strictly ascending")
     rows: list[ConvergenceRow] = []

@@ -28,13 +28,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import cfl_bound, max_wave_speed
 from .core import Grid1D, NumericalError, Stencil, load_stencil, save_stencil
-from .experiments import DEFAULT_SEED, ExperimentConfig, RunDir, merge, run_convergence, run_experiment
+from .experiments import DEFAULT_SEED, EXPERIMENT_NAMES, ExperimentConfig, RunDir, merge, run_convergence, run_experiment
 from .experiments import dispersion_csvs, simulate_csvs
 from .regression import assemble_regression, build_skew_constraints
 from .simulate import SimConfig
@@ -43,6 +44,9 @@ from .training import TrainingConfig, generate_training_set, load_training_set, 
 
 # namespace entries that are not options of the subcommand
 _NOT_OPTIONS = ("command", "config", "func", "parser")
+
+# options without a default, which the flag or the config file must give
+_REQUIRED = ("method", "stencil")
 
 
 def _add_global_flags(parser: argparse.ArgumentParser) -> None:
@@ -177,6 +181,8 @@ def _cmd_learn(args) -> int:
 def _cmd_simulate(args) -> int:
     run = _run_dir(args)
     stencil = load_stencil(args.stencil)
+    if not (isfinite(args.length) and args.length > 0):  # before it divides into a cell count
+        raise ValueError(f"length must be positive and finite, got {args.length}")
     grid = Grid1D(N=args.grid_n if args.grid_n is not None else round(args.length / stencil.dx), L=args.length)
     dt = args.dt if args.dt is not None else args.dt_ratio * grid.dx
     kinds = ("energy", "final_field", "spacetime") if args.snapshot_every else ("energy", "final_field")
@@ -261,12 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(p)
     _add_training_flags(p)
     _add_solver_flags(p)
-    p.add_argument("--method", required=True, choices=["pg", "nag", "admm", "ref"])
+    p.add_argument("--method", choices=["pg", "nag", "admm", "ref"], help="solver (required, as a flag or a config key)")
     p.add_argument("--data", type=Path, default=None, help="training-data .npz (generated if omitted)")
 
     p = _subcommand(sub, "simulate", _cmd_simulate, "Crank-Nicolson run for a saved stencil")
     _add_global_flags(p)
-    p.add_argument("--stencil", type=Path, required=True, help="stencil JSON file")
+    p.add_argument("--stencil", type=Path, help="stencil JSON file (required, as a flag or a config key)")
     p.add_argument("--grid-n", type=int, default=None, help="grid cells (default: from stencil dx)")
     p.add_argument("--length", type=float, default=1.0)
     p.add_argument("--dt", type=float, default=None, help="explicit time step")
@@ -277,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "dispersion", _cmd_dispersion, "symbol and CN dispersion curves")
     _add_global_flags(p)
-    p.add_argument("--stencil", type=Path, required=True)
+    p.add_argument("--stencil", type=Path, help="stencil JSON file (required, as a flag or a config key)")
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--dt-ratio", type=float, default=0.5)
     p.add_argument("--samples", type=int, default=512, help="theta samples in (0, pi] (default 512)")
@@ -293,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(sub, "experiment", _cmd_experiment, "run a scripted preset")
     _add_global_flags(p)
     p.set_defaults(seed=None, out=None)  # unset flags leave the file's or the preset's values
-    p.add_argument("name", choices=["table1", "convergence", "energy", "dispersion", "nonstandard", "noisy", "solver-bench"])
+    p.add_argument("name", choices=[name.replace("_", "-") for name in EXPERIMENT_NAMES])
     p.add_argument("--sigma", type=float, default=None, help="noise level for the noisy preset")
     p.add_argument("--radius", type=int, default=None, help="stencil radius override")
 
@@ -308,6 +314,9 @@ def main(argv: list[str] | None = None) -> int:
             # the file's entries become the subcommand's defaults: flag > file > built-in
             args.parser.set_defaults(**_config_defaults(args))
             args = parser.parse_args(argv)
+        missing = [a for a in args.parser._actions if a.dest in _REQUIRED and getattr(args, a.dest) is None]
+        if missing:
+            args.parser.error(f"the following arguments are required: {', '.join(a.option_strings[0] for a in missing)}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -74,11 +74,6 @@ class Stencil:
     def offsets(self) -> np.ndarray:
         return np.arange(-self.R, self.R + 1)
 
-    def is_skew(self, tol: float = 1e-12) -> bool:
-        """True when w_0 = 0 and w_{-l} = -w_{+l}, the condition for the
-        operator matrix to satisfy D^T = -D."""
-        return bool(np.max(np.abs(self.w + self.w[::-1])) <= tol * max(1.0, np.max(np.abs(self.w))))
-
     def to_dict(self) -> dict:
         return {"R": self.R, "w": [float(v) for v in self.w], "dx": self.dx}
 
@@ -154,19 +149,6 @@ def apply_stencil(stencil: Stencil, u: np.ndarray, grid: Grid1D) -> np.ndarray:
         if wl != 0.0:
             out += wl * np.roll(u, -l, axis=-1)
     return out
-
-
-def operator_matrix(stencil: Stencil, N: int) -> np.ndarray:
-    """Dense circulant matrix of the convolution operator, D_ij = w_{(j-i) mod N}."""
-    R = stencil.R
-    if N < 2 * R + 1:
-        raise ValueError(f"N={N} too small for stencil radius R={R} (need N >= {2 * R + 1})")
-    col = np.zeros(N)
-    col[0] = stencil.w[R]
-    for l in range(1, R + 1):
-        col[l] = stencil.w[R - l]       # w_{-l}
-        col[N - l] = stencil.w[R + l]   # w_{+l}
-    return circulant(col)
 
 
 def circulant(col: np.ndarray) -> np.ndarray:

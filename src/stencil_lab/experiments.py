@@ -37,10 +37,7 @@ from .training import TrainingConfig, TrainingSet, generate_operator_training_se
 
 DEFAULT_SEED = 20260811
 
-EXPERIMENT_NAMES = ("table1", "convergence", "energy", "dispersion", "nonstandard", "noisy", "solver_bench")
-
-
-def default_training_config(seed: int = DEFAULT_SEED, noise_std: float = 0.0, grid: Grid1D | None = None) -> TrainingConfig:
+def default_training_config(seed: int = DEFAULT_SEED, grid: Grid1D | None = None) -> TrainingConfig:
     """Standard training setup: N=64 cells on [0, 1], 200 samples with
     modes up to 5."""
     return TrainingConfig(
@@ -49,7 +46,6 @@ def default_training_config(seed: int = DEFAULT_SEED, noise_std: float = 0.0, gr
         grid=grid if grid is not None else Grid1D(N=64, L=1.0),
         seed=seed,
         amplitude_std=1.0,
-        noise_std=noise_std,
     )
 
 
@@ -405,7 +401,7 @@ def run_nonstandard(cfg: ExperimentConfig) -> dict:
 
     drifts = {}
     for label, stencil in (("target", w_star), ("learned", w_qp), ("centered4", w_cd)):
-        result = simulate_csvs(run, cfg.sim_config(stencil), ("energy", "final_field"), f"_{label}", cfg.snapshot_every)
+        result = simulate_csvs(run, cfg.sim_config(stencil), ("energy", "final_field"), f"_{label}")
         drifts[label] = _energy_drift(result)
 
     save_stencil(w_qp, run.path("stencil_learned.json"))
@@ -529,6 +525,8 @@ _RUNNERS = {
     "noisy": run_noisy,
     "solver_bench": run_solver_bench,
 }
+
+EXPERIMENT_NAMES = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:

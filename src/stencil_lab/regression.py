@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isfinite
 
 import numpy as np
 
@@ -59,10 +60,10 @@ class RegressionSystem:
             raise ValueError(f"need a square gram and matching atb, got {gram.shape} and {atb.shape}")
         if atb.size % 2 == 0:
             raise ValueError(f"stencil dimension must be odd (2R+1), got {atb.size}")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if self.M <= 0:
-            raise ValueError("box bound M must be positive")
+        if not (isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
+        if not self.M > 0:  # M = inf leaves the box open; NaN fails this test
+            raise ValueError(f"box bound M must be positive, got {self.M}")
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "atb", atb)
 
@@ -161,14 +162,6 @@ def lift(a: np.ndarray) -> np.ndarray:
     return np.concatenate([-a[::-1], [0.0], a])
 
 
-def skew_coordinates(w: np.ndarray) -> np.ndarray:
-    """a = P^T w / 2, so lift(skew_coordinates(w)) is the Euclidean
-    projection of w onto the skew stencils; exact for skew w."""
-    w = np.asarray(w, dtype=float)
-    R = (w.size - 1) // 2
-    return 0.5 * (w[R + 1:] - w[R - 1::-1])
-
-
 @dataclass(frozen=True, eq=False)
 class ReducedProblem:
     """The QP in the free coefficients a (w = P a, P^T P = 2I):
@@ -195,9 +188,6 @@ class ReducedProblem:
             Ha = self.H @ a
         return 0.5 * float(a @ Ha) - float(self.g @ a) + 0.5 * self.btb
 
-    def gradient(self, a: np.ndarray) -> np.ndarray:
-        return self.H @ a - self.g
-
 
 def reduce_problem(sys: RegressionSystem) -> ReducedProblem:
     """Substitute w = P a into f: H = P^T (A^T A) P + 2 lam I, g = P^T A^T b.
@@ -210,16 +200,3 @@ def reduce_problem(sys: RegressionSystem) -> ReducedProblem:
     H = P.T @ sys.gram.astype(np.longdouble) @ P + 2 * np.longdouble(sys.lam) * np.eye(sys.R, dtype=np.longdouble)
     g = P.T @ sys.atb.astype(np.longdouble)
     return ReducedProblem(H=H.astype(float), g=g.astype(float), H_ext=H, g_ext=g, btb=sys.btb, M=sys.M)
-
-
-def objective_and_gradient(sys: RegressionSystem, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """f(w) = (1/2)||Aw-b||^2 + (lam/2)||w||^2 and its gradient
-    A^T(Aw-b) + lam w, evaluated through the cached Gram form."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (sys.n_coeffs,):
-        raise ValueError(f"w has shape {w.shape}, expected ({sys.n_coeffs},)")
-    gw = sys.gram @ w
-    f = 0.5 * float(w @ gw) - float(sys.atb @ w) + 0.5 * sys.btb + 0.5 * sys.lam * float(w @ w)
-    grad = gw - sys.atb + sys.lam * w
-    return f, grad
-

@@ -38,7 +38,6 @@ from .regression import (
     SkewConstraints,
     lift,
     reduce_problem,
-    skew_coordinates,
 )
 
 PG = "PG"
@@ -71,12 +70,12 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.rho <= 0:
-            raise ValueError("ADMM penalty rho must be positive")
-        if self.step is not None and self.step <= 0:
-            raise ValueError("step must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ValueError(f"ADMM penalty rho must be positive and finite, got {self.rho}")
+        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be positive and finite, got {self.step}")
 
     def resolve_max_iters(self, method: str) -> int:
         return self.max_iters if self.max_iters is not None else _DEFAULT_MAX_ITERS[method]
@@ -200,26 +199,19 @@ def solve_nag(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = 
     return trace.report(a, "max_iters")
 
 
-def solve_admm(
-    sys: RegressionSystem,
-    cs: SkewConstraints,
-    opts: SolverOptions = SolverOptions(),
-    init: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> SolverReport:
+def solve_admm(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = SolverOptions()) -> SolverReport:
     """ADMM on the split w = z with w skew and z box-clipped.
 
     In the reduced coordinates the penalty (rho/2)||P(a - z + u)||^2 is
     rho ||a - z + u||^2, so the w-update solves
         (H + 2 rho I) a = g + 2 rho (z - u),
     an R x R system. Returns the final z, which is feasible for the box
-    by construction. `init` optionally provides skew stencils (w0, z0,
-    u0); the default is all zeros.
+    by construction.
     """
     prob, trace = _setup(ADMM, sys, cs)
     rho2 = 2.0 * opts.rho
     K = prob.H + rho2 * np.eye(prob.R)
-    zeros = (np.zeros(sys.n_coeffs),) * 3
-    a, z, u = (skew_coordinates(v) for v in (zeros if init is None else init))
+    a, z, u = np.zeros(prob.R), np.zeros(prob.R), np.zeros(prob.R)
     for _ in range(opts.resolve_max_iters(ADMM)):
         a_new = np.linalg.solve(K, prob.g + rho2 * (z - u))
         z = _clip(a_new + u, prob.M)

@@ -1,0 +1,42 @@
+"""Reference implementations the tests compare the library against: the
+dense operator matrix D, the full-space objective and its gradient, and
+the skew coordinates of a stencil (the skew projection). The library
+itself needs none of them; the solvers work in skew coordinates from the
+start."""
+
+import numpy as np
+
+from stencil_lab.core import Stencil, circulant
+
+
+def operator_matrix(stencil: Stencil, N: int) -> np.ndarray:
+    """Dense circulant matrix of the convolution operator, D_ij = w_{(j-i) mod N}."""
+    R = stencil.R
+    if N < 2 * R + 1:
+        raise ValueError(f"N={N} too small for stencil radius R={R} (need N >= {2 * R + 1})")
+    col = np.zeros(N)
+    col[0] = stencil.w[R]
+    for l in range(1, R + 1):
+        col[l] = stencil.w[R - l]       # w_{-l}
+        col[N - l] = stencil.w[R + l]   # w_{+l}
+    return circulant(col)
+
+
+def objective_and_gradient(sys, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """f(w) = (1/2)||Aw-b||^2 + (lam/2)||w||^2 and its gradient
+    A^T(Aw-b) + lam w, evaluated through the cached Gram form."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (sys.n_coeffs,):
+        raise ValueError(f"w has shape {w.shape}, expected ({sys.n_coeffs},)")
+    gw = sys.gram @ w
+    f = 0.5 * float(w @ gw) - float(sys.atb @ w) + 0.5 * sys.btb + 0.5 * sys.lam * float(w @ w)
+    grad = gw - sys.atb + sys.lam * w
+    return f, grad
+
+
+def skew_coordinates(w: np.ndarray) -> np.ndarray:
+    """a = P^T w / 2, so lift(skew_coordinates(w)) is the Euclidean
+    projection of w onto the skew stencils; exact for skew w."""
+    w = np.asarray(w, dtype=float)
+    R = (w.size - 1) // 2
+    return 0.5 * (w[R + 1:] - w[R - 1::-1])

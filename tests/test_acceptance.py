@@ -16,17 +16,18 @@ from stencil_lab.core import (
     apply_stencil,
     centered_difference_stencil,
     discrete_energy,
-    operator_matrix,
 )
 from stencil_lab.experiments import (
     ExperimentConfig,
     run_noisy,
     run_nonstandard,
 )
-from stencil_lab.regression import build_skew_constraints, objective_and_gradient
+from stencil_lab.regression import build_skew_constraints
 from stencil_lab.simulate import SimConfig, simulate, single_mode_initial_condition
 from stencil_lab.solvers import ADMM, NAG, PG, REFERENCE, SolverOptions, solve_nag, solve_pg
 from stencil_lab.training import generate_training_set
+
+from oracles import objective_and_gradient, operator_matrix
 
 
 def learned_stencils(reports, dx):

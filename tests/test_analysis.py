@@ -21,10 +21,11 @@ from stencil_lab.core import (
     Stencil,
     centered_difference_stencil,
     discrete_energy,
-    operator_matrix,
 )
 from stencil_lab.experiments import RunDir, dispersion_csvs
 from stencil_lab.simulate import SimConfig, simulate, single_mode_initial_condition
+
+from oracles import operator_matrix
 
 
 def random_skew_stencil(rng, R, dx):

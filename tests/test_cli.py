@@ -223,6 +223,42 @@ class TestConfigFile:
         assert run() == (11, 10)
         assert run("--steps", "4") == (5, 4)
 
+    def test_file_gives_method_and_flag_beats_it(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"method": "nag", "max_iters": 3, "n_sims": 10}))
+
+        def solves(*flags):
+            out = tmp_path / f"out{len(flags)}"
+            proc = run_cli("learn", "--config", str(tmp_path / "cfg.json"), "--out", str(out), *flags)
+            assert proc.returncode == 0, proc.stderr
+            return json.loads((out / "manifest.json").read_text())["solves"]
+
+        assert solves() == {"nag": {"method": "NAG", "iterations": 3, "stop_reason": "max_iters"}}
+        assert solves("--method", "ref") == {"ref": {"method": "REFERENCE", "iterations": 1, "stop_reason": "exact"}}
+
+    @pytest.mark.parametrize("command", ["simulate", "dispersion"])
+    def test_file_gives_stencil_and_flag_beats_it(self, tmp_path, command):
+        save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
+        (tmp_path / "cfg.json").write_text(json.dumps({"stencil": str(tmp_path / "s.json")}))
+        proc = run_cli(command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]["stencil"] == str(tmp_path / "s.json")
+        proc = run_cli(command, "--config", str(tmp_path / "cfg.json"), "--stencil", str(tmp_path / "nope.json"),
+                       "--out", str(tmp_path / "out2"))
+        assert proc.returncode == 2
+        assert str(tmp_path / "nope.json") in proc.stderr
+
+    @pytest.mark.parametrize("command, option", [("learn", "--method"), ("simulate", "--stencil"), ("dispersion", "--stencil")])
+    @pytest.mark.parametrize("config", [None, {"seed": 3}], ids=["no-file", "file-without-it"])
+    def test_required_option_from_neither_is_two(self, tmp_path, command, option, config):
+        flags = []
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            flags = ["--config", str(tmp_path / "cfg.json")]
+        proc = run_cli(command, *flags, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.strip().splitlines()[-1] == f"stencil-lab {command}: error: the following arguments are required: {option}"
+        assert not (tmp_path / "out").exists()
+
 
 class TestExitCodes:
     def test_success_is_zero(self, tmp_path):
@@ -349,6 +385,23 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.strip() == f"error: {message}"
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["learn", "--method", "admm", "--n-sims", "10", "--tol", "nan"], "tol must be positive and finite, got nan"),
+        (["learn", "--method", "admm", "--n-sims", "10", "--lam", "nan"], "lam must be nonnegative and finite, got nan"),
+        (["learn", "--method", "admm", "--n-sims", "10", "--box", "nan"], "box bound M must be positive, got nan"),
+        (["learn", "--method", "admm", "--n-sims", "10", "--rho", "inf"], "ADMM penalty rho must be positive and finite, got inf"),
+        (["simulate", "--stencil", "s.json", "--length", "inf"], "length must be positive and finite, got inf"),
+        (["simulate", "--stencil", "s.json", "--length", "nan"], "length must be positive and finite, got nan"),
+        (["converge", "--n-sims", "10", "--t-final", "nan"], "final time T must be positive and finite, got nan"),
+        (["converge", "--n-sims", "10", "--dt-ratio", "inf"], "dt_ratio must be positive and finite, got inf"),
+    ], ids=["tol-nan", "lam-nan", "box-nan", "rho-inf", "length-inf", "length-nan", "t-final-nan", "dt-ratio-inf"])
+    def test_non_finite_setting_is_two(self, tmp_path, argv, message):
+        save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
+        argv = [str(tmp_path / arg) if arg == "s.json" else arg for arg in argv]
+        proc = run_cli(*argv, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == f"error: {message}"
 
     @pytest.mark.parametrize("content", [b"hello\n", np.zeros(3).tobytes()], ids=["text", "raw-floats"])
     def test_training_file_not_npz_is_two(self, tmp_path, content):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stencil_lab import experiments
-from stencil_lab.core import Stencil, centered_difference_stencil, operator_matrix
+from stencil_lab.core import Stencil, centered_difference_stencil
 from stencil_lab.experiments import (
     DEFAULT_SEED,
     EXPERIMENT_NAMES,
@@ -32,6 +32,8 @@ from stencil_lab.experiments import (
 )
 from stencil_lab.regression import build_skew_constraints
 from stencil_lab.simulate import simulate, single_mode_initial_condition
+
+from oracles import operator_matrix
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,6 @@ from stencil_lab.core import (
     circulant,
     discrete_energy,
     fourier_symbol,
-    operator_matrix,
     real_fft,
     solve_refined,
 )
@@ -34,6 +33,8 @@ from stencil_lab.simulate import (
     single_mode_initial_condition,
     traveling_wave_exact,
 )
+
+from oracles import operator_matrix
 
 
 def standard_config(grid, stencil=None, dt_ratio=0.5, n_steps=300):

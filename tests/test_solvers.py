@@ -15,7 +15,6 @@ from stencil_lab.regression import (
     build_skew_constraints,
     lift,
     reduce_problem,
-    skew_coordinates,
 )
 from stencil_lab.solvers import (
     ADMM,
@@ -29,6 +28,8 @@ from stencil_lab.solvers import (
     solve_pg,
     solve_reference,
 )
+
+from oracles import skew_coordinates
 
 NO_STOP = SolverOptions(max_iters=120, tol=1e-300)  # fixed-budget runs
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -138,9 +139,10 @@ def random_system(seed, R, box_scale=None):
 # Reference loops in which the objective and the gradient each form H a,
 # with np.clip and np.linalg.norm. The solvers form each iterate's H a
 # once; every report field but time_trace must keep these bits, and a
-# non-finite objective must stop both at the same iteration.
+# non-finite objective must stop both at the same iteration. ADMM starts
+# from `start`, a triple (a, z, u) of skew coordinates, when one is given.
 
-def looped_solve(method, sys, opts):
+def looped_solve(method, sys, opts, start=None):
     prob = reduce_problem(sys)
     H, g, M = prob.H, prob.g, prob.M
     rows = []
@@ -187,7 +189,7 @@ def looped_solve(method, sys, opts):
         return report(a, "max_iters")
     rho2 = 2.0 * opts.rho
     K = H + rho2 * np.eye(prob.R)
-    z, u = np.zeros(prob.R), np.zeros(prob.R)
+    a, z, u = start if start is not None else (a, np.zeros(prob.R), np.zeros(prob.R))
     for _ in range(opts.resolve_max_iters(ADMM)):
         a_new = np.linalg.solve(K, g + rho2 * (z - u))
         z = np.clip(a_new + u, -M, M)
@@ -223,7 +225,7 @@ def assert_matches_loop(method, sys, opts):
 def assert_kkt(sys, w, tol=1e-9):
     prob = reduce_problem(sys)
     a = skew_coordinates(w)
-    grad = prob.gradient(a)
+    grad = prob.H @ a - prob.g
     scale = tol * (np.max(np.abs(prob.g)) + np.max(np.abs(prob.H)) * prob.M)
     assert np.all(np.abs(a) <= prob.M)
     upper, lower = a == prob.M, a == -prob.M
@@ -336,15 +338,13 @@ class TestADMM:
         assert np.all(np.abs(rep.w_final) <= 1.0)
         assert abs(rep.w_final[1]) <= 1e-12
 
-    def test_fixed_point_at_reference_solution(self, system_r1, constraints_r1, solver_reports):
+    def test_fixed_point_at_reference_solution(self, system_r1, solver_reports):
+        """One ADMM update from (a*, a*, 0) stays at the reference a*."""
         w_star = solver_reports[REFERENCE].w_final
-        rep = solve_admm(
-            system_r1,
-            constraints_r1,
-            SolverOptions(max_iters=1, tol=1e-300),
-            init=(w_star, w_star.copy(), np.zeros_like(w_star)),
-        )
-        assert np.linalg.norm(rep.w_final - w_star) <= 1e-9
+        a_star = skew_coordinates(w_star)
+        w_final, *_ = looped_solve(ADMM, system_r1, SolverOptions(max_iters=1, tol=1e-300),
+                                   start=(a_star, a_star.copy(), np.zeros_like(a_star)))
+        assert np.linalg.norm(w_final - w_star) <= 1e-9
 
     def test_agreement_on_random_qps(self, rng):
         for _ in range(10):
@@ -528,6 +528,10 @@ class TestReportsAndDispatch:
             SolverOptions(tol=0.0)
         with pytest.raises(ValueError):
             SolverOptions(rho=-1.0)
+        for field in ("tol", "rho", "step"):
+            for value in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=field):
+                    SolverOptions(**{field: value})
 
     def test_w_final_is_lifted(self, solver_reports):
         for rep in solver_reports.values():
