@@ -163,9 +163,10 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_learn(args) -> int:
     run = _run_dir(args)
+    opts = _solver_options(args)  # checked before the data is loaded or generated
     ts = load_training_set(args.data) if args.data is not None else generate_training_set(_training_config(args))
     system = assemble_regression(ts, R=args.radius, lam=args.lam, M=args.box)
-    report = run.record(args.method, solve(args.method, system, build_skew_constraints(args.radius), _solver_options(args)))
+    report = run.record(args.method, solve(args.method, system, build_skew_constraints(args.radius), opts))
     stencil = Stencil(w=report.w_final, dx=ts.config.grid.dx)
     save_stencil(stencil, run.path("stencil.json"))
     run.write_json("solver_report.json", report.to_dict())

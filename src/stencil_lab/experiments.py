@@ -155,16 +155,17 @@ class RunDir:
     report passed to `record`, and `finish` derives manifest.json from
     those records, so the manifest cannot list a file the run did not write
     or miss one it did. `header` holds what identifies the run (its name,
-    seed and config), in its JSON form."""
+    seed and config), in its JSON form. The directory is made at the first
+    `path`, so a run that fails its checks before writing leaves none."""
 
     def __init__(self, root: str | Path, **header):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self.header = json.loads(json.dumps(header, default=str))
         self.outputs: set[str] = set()
         self.solves: dict[str, SolverReport] = {}
 
     def path(self, name: str) -> Path:
+        self.root.mkdir(parents=True, exist_ok=True)
         self.outputs.add(name)
         return self.root / name
 

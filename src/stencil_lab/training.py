@@ -84,13 +84,10 @@ def spectral_derivative(u: np.ndarray, grid: Grid1D) -> np.ndarray:
     return np.fft.irfft(mult * np.fft.rfft(u), n=grid.N)
 
 
-def _sample_fields(rng: np.random.Generator, cfg: TrainingConfig) -> np.ndarray:
+def _sample_fields(rng: np.random.Generator, cfg: TrainingConfig, phase_arg: np.ndarray) -> np.ndarray:
     """One random state: rows (E, H), each a sum over modes m = 1..m_max of
-    a_m sin(2 pi m x / L + phi_m)."""
-    grid = cfg.grid
-    modes = np.arange(1, cfg.m_max + 1)
-    phase_arg = 2.0 * np.pi * np.outer(modes, grid.x) / grid.L  # (m_max, N)
-    state = np.empty((2, grid.N))
+    a_m sin(2 pi m x / L + phi_m), with phase_arg[m - 1] = 2 pi m x / L."""
+    state = np.empty((2, cfg.grid.N))
     for row in range(2):
         amps = rng.normal(0.0, cfg.amplitude_std, size=cfg.m_max)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=cfg.m_max)
@@ -100,11 +97,13 @@ def _sample_fields(rng: np.random.Generator, cfg: TrainingConfig) -> np.ndarray:
 
 def _generate(cfg: TrainingConfig, derivative) -> TrainingSet:
     n, N = cfg.n_sims, cfg.grid.N
+    modes = np.arange(1, cfg.m_max + 1)
+    phase_arg = 2.0 * np.pi * np.outer(modes, cfg.grid.x) / cfg.grid.L  # (m_max, N), shared by every sample
     states = np.empty((n, 2, N))
     noise = np.empty((n, 2, N)) if cfg.noise_std > 0 else None
     for s in range(n):
         rng = np.random.default_rng([cfg.seed, s])
-        states[s] = _sample_fields(rng, cfg)
+        states[s] = _sample_fields(rng, cfg, phase_arg)
         if noise is not None:
             noise[s] = rng.normal(0.0, cfg.noise_std, size=(2, N))
     derivs = derivative(states[:, ::-1])  # dE/dt = d_x H, dH/dt = d_x E

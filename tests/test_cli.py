@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from stencil_lab import cli
 from stencil_lab.core import Grid1D, Stencil, centered_difference_stencil, save_stencil
 from stencil_lab.training import TrainingConfig, generate_training_set, save_training_set
 
@@ -287,6 +288,15 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "numerical failure" in proc.stderr
 
+    def test_near_singular_dense_system_is_one(self, tmp_path):
+        # (dt/2) mu(0) = 1 - 1e-10 at the default dt = dx/2: the dense engine's conjugate gradients hit their cap
+        dx = 1.0 / 64.0
+        a = (1.0 - 1e-10) / (0.5 * dx)
+        save_stencil(Stencil(np.array([a, 0.0, a]), dx), tmp_path / "s.json")
+        proc = run_cli("simulate", "--stencil", str(tmp_path / "s.json"), "--out", str(tmp_path / "out"), "--steps", "1")
+        assert proc.returncode == 1
+        assert "numerical failure" in proc.stderr and "did not converge" in proc.stderr
+
     def test_bad_config_file_is_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -430,3 +440,24 @@ class TestExitCodes:
         proc = run_cli("experiment", "table1", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path))
         assert proc.returncode == 2
         assert proc.stderr.strip() == "error: unknown config key(s): foo"
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("argv", [
+        ["learn", "--method", "admm", "--tol", "nan"],
+        ["simulate", "--stencil", "missing.json"],
+    ], ids=["learn-tol-nan", "simulate-missing-stencil"])
+    def test_rejected_run_leaves_no_directory(self, tmp_path, argv):
+        argv = [str(tmp_path / arg) if arg == "missing.json" else arg for arg in argv]
+        proc = run_cli(*argv, "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_learn_checks_solver_settings_before_generating_data(self, tmp_path, monkeypatch, capsys):
+        def generate(cfg):
+            raise AssertionError("learn generated training data before checking its solver settings")
+
+        monkeypatch.setattr(cli, "generate_training_set", generate)
+        assert cli.main(["learn", "--method", "admm", "--tol", "nan", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.strip() == "error: tol must be positive and finite, got nan"
+        assert not (tmp_path / "o").exists()

@@ -270,6 +270,13 @@ def test_csv_cells_read_back_exactly(rows):
                 assert struct.pack("<d", float(text)) == struct.pack("<d", v)
 
 
+def test_run_dir_is_made_at_the_first_write(tmp_path):
+    run = RunDir(tmp_path / "a" / "b", command="test")
+    assert not (tmp_path / "a").exists()
+    run.finish()
+    assert json.loads((tmp_path / "a" / "b" / "manifest.json").read_text())["command"] == "test"
+
+
 def _finite(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 

@@ -13,13 +13,11 @@ from stencil_lab.core import (
     Grid1D,
     NumericalError,
     Stencil,
-    apply_stencil,
     centered_difference_stencil,
     circulant,
     discrete_energy,
     fourier_symbol,
     real_fft,
-    solve_refined,
 )
 from stencil_lab.experiments import RunDir, simulate_csvs
 from stencil_lab.simulate import (
@@ -33,8 +31,6 @@ from stencil_lab.simulate import (
     single_mode_initial_condition,
     traveling_wave_exact,
 )
-
-from oracles import operator_matrix
 
 
 def standard_config(grid, stencil=None, dt_ratio=0.5, n_steps=300):
@@ -135,10 +131,12 @@ class TestSimulate:
         assert np.max(np.abs(dense.energy_series - spectral.energy_series)) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 4), extra_cells=st.integers(0, 120),
+    @given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 4), extra_cells=st.integers(0, 241),
            dt_ratio=st.floats(0.05, 4.0), backward=st.booleans(), n_steps=st.integers(0, 60))
-    # LU pivot growth of 2.6e4 in I + (dt/2) D: an unrefined dense solve misses 1e-12 here
+    # a circulant LU of I + (dt/2) D had pivot growth 2.6e4 here, and one without refinement missed 1e-12
     @example(seed=512, R=4, extra_cells=118, dt_ratio=2.938045901680896, backward=False, n_steps=2)
+    # the LU build left S(dt/2) 4.1e-9 off here (N=232), and the engines 5.0e-8 apart after 10 steps
+    @example(seed=3129945617, R=3, extra_cells=225, dt_ratio=3.53417379951129, backward=False, n_steps=10)
     def test_random_skew_stencils_conserve_and_engines_agree(self, seed, R, extra_cells, dt_ratio, backward, n_steps):
         rng = np.random.default_rng(seed)
         grid = Grid1D(N=2 * R + 1 + extra_cells)
@@ -175,6 +173,15 @@ class TestSimulate:
         with pytest.raises(NumericalError, match="singular"):
             simulate(single_mode_initial_condition(grid), cfg, engine=engine)
 
+    def test_near_singular_dense_system_raises(self, grid):
+        # symmetric stencil with (dt/2) mu(0) = 1 - 1e-10: I - (dt/2) D has a singular value of 1e-10,
+        # which the dense engine's conjugate gradients cannot resolve within their cap
+        dt = 0.5 * grid.dx
+        a = (1.0 - 1e-10) / dt
+        cfg = SimConfig(dt=dt, n_steps=1, grid=grid, stencil=Stencil(np.array([a, 0.0, a]), grid.dx))
+        with pytest.raises(NumericalError, match="did not converge"):
+            simulate(single_mode_initial_condition(grid), cfg, engine="dense")
+
     @pytest.mark.parametrize("engine", ["dense", "spectral"])
     def test_nonfinite_init_rejected(self, grid, engine):
         E = np.sin(2 * np.pi * grid.x)
@@ -187,42 +194,58 @@ class TestSimulate:
             simulate(FieldPair(np.zeros(32), np.zeros(32)), standard_config(grid))
 
 
-def n_rhs_cayley(cfg):
-    """S(+-dt/2) as N-right-hand-side refined solves with the full matrices."""
-    hD = 0.5 * cfg.dt * operator_matrix(cfg.stencil, cfg.grid.N)
-    eye = np.eye(cfg.grid.N)
-    return solve_refined(eye - hD, eye + hD), solve_refined(eye + hD, eye - hD)
-
-
 def fft_cayley(cfg, sign):
     """S(sign dt/2) from its eigenvalues: the circulant with first column ifft(cn_multiplier(sign mu))."""
     mu = fourier_symbol(cfg.stencil, 2.0 * np.pi * np.fft.fftfreq(cfg.grid.N))
     return circulant(np.fft.ifft(cn_multiplier(sign * mu, cfg.dt)).real)
 
 
+def random_cayley_stencil(seed, R, skew):
+    """w in units of 1/dx: skew coefficients in (-1, 1), plus a centre
+    coefficient in (-0.1, 0.1) when not skew."""
+    rng = np.random.default_rng(seed)
+    half = rng.uniform(-1.0, 1.0, size=R)
+    w = np.concatenate([-half[::-1], [0.0], half])
+    if not skew:
+        w[R] = rng.uniform(-0.1, 0.1)
+    return w
+
+
 class TestEngineStructure:
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 6), extra_cells=st.integers(0, 237),
-           dt_ratio=st.floats(0.05, 8.0), backward=st.booleans(), skew=st.booleans())
-    @example(seed=512, R=4, extra_cells=118, dt_ratio=2.938045901680896, backward=False, skew=True)
-    @example(seed=3129945617, R=3, extra_cells=225, dt_ratio=3.53417379951129, backward=False, skew=True)
-    def test_dense_matrices_are_the_circulant_cayley_transforms(self, seed, R, extra_cells, dt_ratio, backward, skew):
-        rng = np.random.default_rng(seed)
-        grid = Grid1D(N=2 * R + 1 + extra_cells)
-        half = rng.uniform(-1.0, 1.0, size=R) / grid.dx
-        w = np.concatenate([-half[::-1], [0.0], half])
-        if not skew:
-            w[R] = rng.uniform(-0.1, 0.1) / grid.dx
-        cfg = standard_config(grid, Stencil(w, grid.dx), dt_ratio=-dt_ratio if backward else dt_ratio, n_steps=1)
+    @given(w=st.builds(random_cayley_stencil, st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans()),
+           extra_cells=st.integers(0, 237), dt_ratio=st.floats(0.05, 8.0), backward=st.booleans())
+    @example(w=random_cayley_stencil(512, 4, True), extra_cells=118, dt_ratio=2.938045901680896, backward=False)
+    # a circulant LU build was 4.1e-9 off here (N=232), and 16 off where |S| <= 0.52 in the
+    # next one (N=152, pivot growth 9e21)
+    @example(w=random_cayley_stencil(3129945617, 3, True), extra_cells=225, dt_ratio=3.53417379951129, backward=False)
+    @example(w=np.array([0.616, 0.063, -0.741]), extra_cells=149, dt_ratio=3.73, backward=True)
+    # CG without its refinement step was 2.0e-14 off here (N=9)
+    @example(w=random_cayley_stencil(1, 4, False), extra_cells=0, dt_ratio=7.0, backward=False)
+    def test_dense_matrices_are_the_circulant_cayley_transforms(self, w, extra_cells, dt_ratio, backward):
+        grid = Grid1D(N=w.size + extra_cells)
+        cfg = standard_config(grid, Stencil(w / grid.dx, grid.dx), dt_ratio=-dt_ratio if backward else dt_ratio,
+                              n_steps=1)
         stepper = DenseCNStepper(cfg)
-        for S, oracle, sign in zip((stepper.cayley(+1), stepper.cayley(-1)), n_rhs_cayley(cfg), (1.0, -1.0)):
+        for sign in (1, -1):
+            S = stepper.cayley(sign)
             exact = fft_cayley(cfg, sign)
-            tol = 1e-14 * max(1.0, np.max(np.abs(exact)))
-            # LU pivot growth can leave the N-column build itself off (4e-9 in the second
-            # example, N=232): there the one-column build must be no farther from the exact matrix
-            assert (np.max(np.abs(S - oracle)) <= tol
-                    or np.max(np.abs(S - exact)) <= np.max(np.abs(oracle - exact)))
+            assert np.max(np.abs(S - exact)) <= 1e-14 * max(1.0, np.max(np.abs(exact)))
             assert all(np.array_equal(S[i], np.roll(S[0], i)) for i in range(grid.N))
+
+    @pytest.mark.parametrize("N", [64, 512])
+    def test_dense_engine_calls_no_fft_and_no_dense_solve(self, N, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the dense engine called an FFT or a dense linear solve")
+
+        for module, names in ((np.fft, ("fft", "ifft", "rfft", "irfft")), (np.linalg, ("solve", "inv"))):
+            for name in names:
+                monkeypatch.setattr(module, name, forbidden)
+        grid = Grid1D(N=N)
+        cfg = standard_config(grid, centered_difference_stencil(grid, 3), n_steps=50)
+        result = simulate(single_mode_initial_condition(grid), cfg, engine="dense")
+        e0 = result.energy_series[0]
+        assert np.max(np.abs(result.energy_series - e0)) / e0 <= 1e-11
 
     @settings(max_examples=100, deadline=None)
     @given(N=st.integers(3, 4097), scale=st.floats(-8.0, 8.0), seed=st.integers(0, 2**32 - 1))
@@ -241,10 +264,8 @@ def lockstep_simulate(init, cfg, snapshot_every, engine):
     step. This was simulate's loop before it ran the chains one by one."""
     grid, n = cfg.grid, cfg.n_steps
     if engine == "dense":
-        e0 = np.eye(1, grid.N)[0]
-        hd = 0.5 * cfg.dt * apply_stencil(cfg.stencil, e0, grid)
-        S_p = circulant(solve_refined(circulant(e0 - hd), e0 + hd))
-        S_q = circulant(solve_refined(circulant(e0 + hd), e0 - hd))
+        stepper = DenseCNStepper(cfg)
+        S_p, S_q = stepper.cayley(+1), stepper.cayley(-1)
         p, q = init.E + init.H, init.E - init.H
 
         def advance(p, q):
