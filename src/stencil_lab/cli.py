@@ -37,7 +37,7 @@ from .analysis import cfl_bound, max_wave_speed
 from .core import Grid1D, NumericalError, Stencil, load_stencil, save_stencil
 from .experiments import DEFAULT_SEED, EXPERIMENT_NAMES, ExperimentConfig, RunDir, merge, run_convergence, run_experiment
 from .experiments import dispersion_csvs, simulate_csvs
-from .regression import assemble_regression, build_skew_constraints
+from .regression import assemble_regression, build_skew_constraints, check_penalties
 from .simulate import SimConfig
 from .solvers import SolverOptions, solve
 from .training import TrainingConfig, generate_training_set, load_training_set, save_training_set
@@ -163,10 +163,13 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_learn(args) -> int:
     run = _run_dir(args)
-    opts = _solver_options(args)  # checked before the data is loaded or generated
+    # the settings are checked before the data is loaded or generated
+    opts = _solver_options(args)
+    constraints = build_skew_constraints(args.radius)
+    check_penalties(args.lam, args.box)
     ts = load_training_set(args.data) if args.data is not None else generate_training_set(_training_config(args))
     system = assemble_regression(ts, R=args.radius, lam=args.lam, M=args.box)
-    report = run.record(args.method, solve(args.method, system, build_skew_constraints(args.radius), opts))
+    report = run.record(args.method, solve(args.method, system, constraints, opts))
     stencil = Stencil(w=report.w_final, dx=ts.config.grid.dx)
     save_stencil(stencil, run.path("stencil.json"))
     run.write_json("solver_report.json", report.to_dict())

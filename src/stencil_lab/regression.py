@@ -35,6 +35,15 @@ import numpy as np
 from .training import TrainingSet
 
 
+def check_penalties(lam: float, M: float) -> None:
+    """Raise ValueError unless the ridge weight lam is nonnegative and
+    finite and the box bound M is positive."""
+    if not (isfinite(lam) and lam >= 0):
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
+    if not M > 0:  # M = inf leaves the box open; NaN fails this test
+        raise ValueError(f"box bound M must be positive, got {M}")
+
+
 @dataclass(frozen=True, eq=False)
 class RegressionSystem:
     """Tikhonov-regularized least squares min (1/2)||Aw-b||^2 + (lam/2)||w||^2
@@ -60,10 +69,7 @@ class RegressionSystem:
             raise ValueError(f"need a square gram and matching atb, got {gram.shape} and {atb.shape}")
         if atb.size % 2 == 0:
             raise ValueError(f"stencil dimension must be odd (2R+1), got {atb.size}")
-        if not (isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be nonnegative and finite, got {self.lam}")
-        if not self.M > 0:  # M = inf leaves the box open; NaN fails this test
-            raise ValueError(f"box bound M must be positive, got {self.M}")
+        check_penalties(self.lam, self.M)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "atb", atb)
 

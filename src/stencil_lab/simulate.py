@@ -7,25 +7,29 @@ Cayley transform S(h) = (I - h D)^{-1} (I + h D). For a skew-adjoint D both
 maps are orthogonal, so the discrete energy (||p||^2 + ||q||^2) / 4 and
 every modal energy are conserved exactly, for any time step.
 
-Since p and q never interact, `simulate` is chain-major: it steps p for all
+Since p and q never interact, `simulate` is chain-major: it runs p for all
 n_steps, then q, each chain with its own operator, and adds the two
 squared norms per step into the energy series afterwards. Only one
 operator is alive at a time; for the dense engine that keeps one N x N
 matrix in the L2 cache where two would not fit (N = 384 to 512 on a 2 MB
-L2). Both engines supply the same calls: `load` (fields to p, q), `step`
-(build one chain's operator), `sq_norm`, `scale` (energy per squared norm)
-and `fields`.
+L2). Both engines supply the same calls: `load` (fields to p, q),
+`chain(sign, u, n, keep)` (the squared norm of the chain's state after
+each of the n steps, or up to the first non-finite one, and the states at
+the steps in keep), `scale` (energy per squared norm) and `fields`.
 
-* "dense": the N x N matrix S(+-dt/2), built per chain. S(h) is a rational
-  function of the circulant D, and circulants are closed under products and
-  inverses, so S(h) is circulant and its first column builds it. That
-  column comes from matrix-free conjugate gradients on the normal equations
-  (CGNR; Saad, Iterative Methods for Sparse Linear Systems, 2003, sec. 8.3;
-  see DenseCNStepper): no pivoting, so no error growth with N. This is the
-  default and the behavioral reference, FFT-free and LU-free.
+* "dense": the N x N matrix S(+-dt/2), built per chain and applied once
+  per step. S(h) is a rational function of the circulant D, and circulants
+  are closed under products and inverses, so S(h) is circulant and its
+  first column builds it. That column comes from matrix-free conjugate
+  gradients on the normal equations (CGNR; Saad, Iterative Methods for
+  Sparse Linear Systems, 2003, sec. 8.3; see DenseCNStepper): no pivoting,
+  so no error growth with N. This is the default and the behavioral
+  reference, FFT-free, LU-free and stepped.
 * "spectral": the FFT diagonalizes the circulant D, so S(+-dt/2) multiplies
-  each Fourier mode by cn_multiplier(+-mu). Much faster for long runs;
-  agrees with the dense engine to roundoff (tested at 1e-12).
+  each Fourier mode by the same m = cn_multiplier(+-mu) at every step. The
+  engine takes no steps: after k steps a mode is m^k times its start, and
+  the squared norm is a sum of powers |m|^(2k) (see SpectralCNStepper).
+  Agrees with the dense engine to roundoff (tested at 1e-12).
 
 A non-skew stencil has multipliers of modulus above 1 (see
 max_cn_amplification), so its modes grow on either engine.
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FieldPair, Grid1D, NumericalError, Stencil, circulant, discrete_energy, fourier_symbol, norm, real_fft
+from .core import FieldPair, Grid1D, NumericalError, Stencil, circulant, discrete_energy, fourier_symbol, norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,10 +74,12 @@ def cn_multiplier(mu: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _cn_symbol(cfg: SimConfig) -> np.ndarray:
-    """The stencil's symbol at the grid's Fourier angles, the eigenvalues
-    of D. Raises NumericalError when a CN denominator 1 -+ dt mu/2 is
-    zero, i.e. the CN system is singular."""
-    mu = fourier_symbol(cfg.stencil, 2.0 * np.pi * np.fft.fftfreq(cfg.grid.N))
+    """The stencil's symbol at the grid's Fourier angles 0..pi, the
+    eigenvalues of D on the rfft modes; a real stencil has
+    mu(-theta) = conj mu(theta), which covers the other half. Raises
+    NumericalError when a CN denominator 1 -+ dt mu/2 is zero, i.e. the
+    CN system is singular."""
+    mu = fourier_symbol(cfg.stencil, 2.0 * np.pi * np.fft.rfftfreq(cfg.grid.N))
     half_mu = 0.5 * cfg.dt * mu
     if np.any((half_mu == 1.0) | (half_mu == -1.0)):
         raise NumericalError("Crank-Nicolson system matrix is singular for this stencil and dt")
@@ -167,54 +173,98 @@ class DenseCNStepper:
         s += _cg(normal, _periodic_correlate(a_t, rhs - _periodic_correlate(a, s)), self._cap)
         return circulant(s)
 
-    def step(self, sign: int):
-        return self.cayley(sign).__matmul__
-
-    @staticmethod
-    def sq_norm(u: np.ndarray) -> float:
-        return u @ u
+    def chain(self, sign: int, u: np.ndarray, n: int, keep: set[int]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        return _chain(self.cayley(sign).__matmul__, u, n, keep)
 
     def fields(self, p: np.ndarray, q: np.ndarray) -> FieldPair:
         return FieldPair(E=0.5 * (p + q), H=0.5 * (p - q))
 
 
+_TWO_PI = 8 * np.arctan(np.longdouble(1))  # in extended precision, for reducing k arg m
+
+# each block matrix of _power_sums holds at most this many doubles (128 KB);
+# at N = 4096 and 2,000 steps this was twice as fast as 2**15 or 2**16
+_BLOCK_DOUBLES = 2**14
+
+
 class SpectralCNStepper:
-    """Each chain is fft(p) or fft(q), times cn_multiplier(+-mu) per mode."""
+    """Each chain in closed form on the N//2 + 1 rfft modes of p or q: with
+    m = cn_multiplier(+-mu), the state after k steps is m^k u, and its
+    squared norm is sum_theta weight_theta |m_theta|^(2k) |u_theta|^2, where
+    the weight 2 counts each interior mode's conjugate twin (mode 0 and the
+    Nyquist mode have weight 1). No step is taken.
+
+    m is the float64 multiplier that stepping would apply. Its log |m|^2
+    and arg m, and k arg m reduced mod 2 pi, are taken in extended
+    precision: in float64, k arg m and k log |m|^2 would carry k rounding
+    errors of arg m and |m|^2, 1e-12 at 10^4 steps, where stepping's own
+    roundoff random-walks to about 1e-14. States and norms are formed from
+    log |u|, so an exactly zero mode stays zero however fast m grows."""
 
     def __init__(self, cfg: SimConfig):
         self._mu = _cn_symbol(cfg)
         self._dt = cfg.dt
-        self.scale = 0.25 * cfg.grid.dx / cfg.grid.N  # Parseval: the energy of the fields
+        self._N = N = cfg.grid.N
+        weight = np.full(N // 2 + 1, 2.0)
+        weight[0] = 1.0
+        if N % 2 == 0:
+            weight[-1] = 1.0  # the Nyquist mode is its own twin
+        self._log_weight = np.log(weight)
+        self.scale = 0.25 * cfg.grid.dx / N  # Parseval: the energy of the fields
 
     def load(self, f: FieldPair) -> tuple[np.ndarray, np.ndarray]:
-        Ef = real_fft(f.E)
-        Hf = real_fft(f.H)
+        Ef = np.fft.rfft(f.E)
+        Hf = np.fft.rfft(f.H)
         return Ef + Hf, Ef - Hf
 
-    def step(self, sign: int):
-        return cn_multiplier(self._mu if sign > 0 else -self._mu, self._dt).__mul__
-
-    @staticmethod
-    def sq_norm(u: np.ndarray) -> float:
-        return np.vdot(u, u).real
+    def chain(self, sign: int, u: np.ndarray, n: int, keep: set[int]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        m = cn_multiplier(sign * self._mu, self._dt)
+        re, im = m.real.astype(np.longdouble), m.imag.astype(np.longdouble)
+        log_a = np.log(re * re + im * im).astype(float)  # log |m|^2
+        turn = np.arctan2(im, re)  # arg m
+        with np.errstate(divide="ignore"):  # log 0 = -inf
+            log_r = np.log(np.abs(u))
+        arg_u = np.angle(u)
+        kept = {k: np.exp(log_r + 0.5 * k * log_a + 1j * (arg_u + np.remainder(k * turn, _TWO_PI).astype(float)))
+                for k in keep}
+        return _power_sums(log_a, self._log_weight + 2.0 * log_r, n), kept
 
     def fields(self, p: np.ndarray, q: np.ndarray) -> FieldPair:
-        E = np.fft.ifft(0.5 * (p + q)).real
-        H = np.fft.ifft(0.5 * (p - q)).real
-        return FieldPair(E=E, H=H)
+        return FieldPair(E=np.fft.irfft(0.5 * (p + q), n=self._N), H=np.fft.irfft(0.5 * (p - q), n=self._N))
 
 
 ENGINES = {"dense": DenseCNStepper, "spectral": SpectralCNStepper}
 
 
-def _chain(step, sq_norm, u: np.ndarray, n: int, keep: set[int]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+def _power_sums(log_a: np.ndarray, log_v: np.ndarray, n: int) -> np.ndarray:
+    """s_j = sum_i v_i a_i^j for j = 1..n, from log a and log v (-inf for
+    v_i = 0). In blocks of B ~ sqrt(n) steps, s_{cB + b} is the product of
+    the block starts v a^(cB) with the powers a^b (b = 1..B). A start is
+    exp(log v + cB log a), so it overflows only where s does, and a zero v
+    gives a zero start; B shrinks until no power exceeds e^700, so none is
+    infinite. The modes are taken in chunks that keep each matrix within
+    _BLOCK_DOUBLES."""
+    B = max(1, math.isqrt(n))
+    top = log_a.max()
+    if B * top > 700:
+        B = max(1, int(700 / top))
+    starts = B * np.arange(-(-n // B))
+    chunk = max(1, _BLOCK_DOUBLES // max(B, starts.size))
+    sums = np.zeros((starts.size, B))
+    for lo in range(0, log_a.size, chunk):
+        la, lv = log_a[lo:lo + chunk], log_v[lo:lo + chunk]
+        sums += np.exp(np.outer(starts, la) + lv) @ np.exp(np.outer(la, np.arange(1, B + 1)))
+    return sums.ravel()[:n]
+
+
+def _chain(step, u: np.ndarray, n: int, keep: set[int]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Apply `step` to u n times. Returns the squared norm after each step,
     up to and including the first non-finite one, and u at the steps in keep."""
     norms = np.empty(n)
     kept = {}
     for k in range(1, n + 1):
         u = step(u)
-        s = norms[k - 1] = sq_norm(u)
+        s = norms[k - 1] = u @ u
         if k in keep:
             kept[k] = u
         if not math.isfinite(s):
@@ -253,8 +303,8 @@ def simulate(
     # p to the end, then q: one operator at a time, so a dense S(+-dt/2) stays in
     # cache. An unstable (non-skew) run overflows; the finiteness check reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        p_norms, p_kept = _chain(stepper.step(+1), stepper.sq_norm, p, n, keep)
-        q_norms, q_kept = _chain(stepper.step(-1), stepper.sq_norm, q, n, keep)
+        p_norms, p_kept = stepper.chain(+1, p, n, keep)
+        q_norms, q_kept = stepper.chain(-1, q, n, keep)
         m = min(p_norms.size, q_norms.size)
         energies[1:m + 1] = stepper.scale * (p_norms[:m] + q_norms[:m])
     bad = np.flatnonzero(~np.isfinite(energies[:m + 1]))

@@ -461,3 +461,22 @@ class TestOutputDirectory:
         assert cli.main(["learn", "--method", "admm", "--tol", "nan", "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.strip() == "error: tol must be positive and finite, got nan"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lam", "nan", "lam must be nonnegative and finite, got nan"),
+        ("--box", "0", "box bound M must be positive, got 0.0"),
+        ("--radius", "0", "radius must be >= 1, got 0"),
+    ], ids=["lam-nan", "box-0", "radius-0"])
+    def test_learn_checks_regression_settings_before_generating_data(self, tmp_path, monkeypatch, capsys, flag, value,
+                                                                     message):
+        calls = []
+
+        def generate(cfg):
+            calls.append(cfg)
+            return generate_training_set(cfg)
+
+        monkeypatch.setattr(cli, "generate_training_set", generate)
+        assert cli.main(["learn", "--method", "admm", flag, value, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert calls == []
+        assert not (tmp_path / "o").exists()
