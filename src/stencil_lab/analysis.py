@@ -105,13 +105,12 @@ def convergence_study(
     T: float,
     dt_ratio: float,
     L: float = 1.0,
-    engine: str = "spectral",
 ) -> list[ConvergenceRow]:
     """Traveling-wave error at final time T for a stencil built (usually
     learned) at each resolution, with dt = dt_ratio * dx rounded so the
     run lands exactly on T. order = log2(err_{k-1} / err_k).
 
-    The spectral CN engine is the default here: the finest grid needs
+    The runs use the spectral CN engine: the finest grid needs
     tens of thousands of steps, which that engine takes in closed form,
     each Fourier mode times m^n, at the cost of a few steps; it agrees
     with the stepped dense engine to roundoff (tested).
@@ -127,7 +126,7 @@ def convergence_study(
         stencil = stencil_source(grid)
         n_steps = max(1, round(T / (dt_ratio * grid.dx)))
         cfg = SimConfig(dt=T / n_steps, n_steps=n_steps, grid=grid, stencil=stencil)
-        result = simulate(traveling_wave_exact(grid, 0.0), cfg, engine=engine)
+        result = simulate(traveling_wave_exact(grid, 0.0), cfg, engine="spectral")
         error = relative_l2_error(result.final.E, traveling_wave_exact(grid, T).E, grid)
         order = None if not rows else float(np.log2(rows[-1].error / error))
         rows.append(ConvergenceRow(N_x=N, dx=grid.dx, error=float(error), order=order))

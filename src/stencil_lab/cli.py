@@ -15,9 +15,11 @@ A config file's keys are the subcommand's long option names with `_`
 a flag beats the file and the file beats the built-in default. The
 `experiment` config file instead holds ExperimentConfig fields, nested as
 in a preset manifest's `config`, and --seed, --sigma and --radius are
-merged onto it. Every subcommand writes manifest.json (subcommand or
-preset, version, seed, resolved settings, outputs, solver stop reasons)
-and warns on stderr about each solve stopped at its iteration cap.
+merged onto it (--radius sets noisy_radius on the noisy preset; --sigma on
+any other preset, and --radius on nonstandard, are errors). Every
+subcommand writes manifest.json (subcommand or preset, version, seed,
+resolved settings, outputs, solver stop reasons) and warns on stderr about
+each solve stopped at its iteration cap.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error
 (including an unknown config key).
@@ -36,7 +38,7 @@ import numpy as np
 from .analysis import cfl_bound, max_wave_speed
 from .core import Grid1D, NumericalError, Stencil, load_stencil, save_stencil
 from .experiments import DEFAULT_SEED, EXPERIMENT_NAMES, ExperimentConfig, RunDir, merge, run_convergence, run_experiment
-from .experiments import dispersion_csvs, simulate_csvs
+from .experiments import DISPERSION_SAMPLES, dispersion_csvs, simulate_csvs
 from .regression import assemble_regression, build_skew_constraints, check_penalties
 from .simulate import SimConfig
 from .solvers import SolverOptions, solve
@@ -240,8 +242,14 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    changes = {**_load_config(args.config), "name": args.name.replace("-", "_")}
-    flags = {"output_dir": args.out, "noisy_sigma": args.sigma, "radius": args.radius}
+    name = args.name.replace("-", "_")
+    if args.sigma is not None and name != "noisy":
+        raise ValueError(f"--sigma sets the noisy preset's noise level; {args.name} does not read it")
+    if args.radius is not None and name == "nonstandard":
+        raise ValueError("--radius does not apply to nonstandard, which learns its radius-2 target operator")
+    changes = {**_load_config(args.config), "name": name}
+    radius_key = "noisy_radius" if name == "noisy" else "radius"
+    flags = {"output_dir": args.out, "noisy_sigma": args.sigma, radius_key: args.radius}
     changes.update({key: value for key, value in flags.items() if value is not None})
     cfg = ExperimentConfig.from_dict(changes)
     if args.seed is not None:
@@ -290,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stencil", type=Path, help="stencil JSON file (required, as a flag or a config key)")
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--dt-ratio", type=float, default=0.5)
-    p.add_argument("--samples", type=int, default=512, help="theta samples in (0, pi] (default 512)")
+    p.add_argument("--samples", type=int, default=DISPERSION_SAMPLES, help="theta samples in (0, pi] (default %(default)s)")
 
     p = _subcommand(sub, "converge", _cmd_converge, "per-resolution learning and error table")
     _add_global_flags(p)
@@ -305,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(seed=None, out=None)  # unset flags leave the file's or the preset's values
     p.add_argument("name", choices=[name.replace("_", "-") for name in EXPERIMENT_NAMES])
     p.add_argument("--sigma", type=float, default=None, help="noise level for the noisy preset")
-    p.add_argument("--radius", type=int, default=None, help="stencil radius override")
+    p.add_argument("--radius", type=int, default=None, help="learned stencil radius (noisy_radius for noisy)")
 
     return parser
 

@@ -36,6 +36,7 @@ from .solvers import ADMM, NAG, PG, REFERENCE, TRACE_COLUMNS, SolverOptions, Sol
 from .training import TrainingConfig, TrainingSet, generate_operator_training_set, generate_training_set
 
 DEFAULT_SEED = 20260811
+DISPERSION_SAMPLES = 512  # theta samples of the dispersion preset and the `dispersion` subcommand's default
 
 def default_training_config(seed: int = DEFAULT_SEED, grid: Grid1D | None = None) -> TrainingConfig:
     """Standard training setup: N=64 cells on [0, 1], 200 samples with
@@ -344,7 +345,7 @@ def run_energy(cfg: ExperimentConfig) -> dict:
     return report
 
 
-def run_dispersion(cfg: ExperimentConfig, n_thetas: int = 512) -> dict:
+def run_dispersion(cfg: ExperimentConfig) -> dict:
     """Symbol and Crank-Nicolson dispersion curves for the learned stencil
     and the centered difference of the same radius."""
     run = _preset_run(cfg)
@@ -355,7 +356,7 @@ def run_dispersion(cfg: ExperimentConfig, n_thetas: int = 512) -> dict:
     run.record("admm", report)
 
     stencils = {"learned": learned, "centered": centered_difference_stencil(grid, cfg.radius)}
-    amp_errors = {label: dispersion_csvs(run, stencil, dt, n_thetas, f"_{label}") for label, stencil in stencils.items()}
+    amp_errors = {label: dispersion_csvs(run, s, dt, DISPERSION_SAMPLES, f"_{label}") for label, s in stencils.items()}
     report = {"max_amplification_error": amp_errors, "dt": dt}
     run.finish(report)
     return report

@@ -7,28 +7,27 @@ Cayley transform S(h) = (I - h D)^{-1} (I + h D). For a skew-adjoint D both
 maps are orthogonal, so the discrete energy (||p||^2 + ||q||^2) / 4 and
 every modal energy are conserved exactly, for any time step.
 
-Since p and q never interact, `simulate` is chain-major: it runs p for all
-n_steps, then q, each chain with its own operator, and adds the two
-squared norms per step into the energy series afterwards. Only one
-operator is alive at a time; for the dense engine that keeps one N x N
-matrix in the L2 cache where two would not fit (N = 384 to 512 on a 2 MB
-L2). Both engines supply the same calls: `load` (fields to p, q),
-`chain(sign, u, n, keep)` (the squared norm of the chain's state after
-each of the n steps, or up to the first non-finite one, and the states at
-the steps in keep), `scale` (energy per squared norm) and `fields`.
+Since p and q never interact, each engine is one function (see ENGINES)
+that runs p for all n_steps, then q, each chain with its own operator, and
+returns per chain the squared norm ||u||^2 of its state after each step, up
+to the first non-finite one, and the states at the requested steps.
+`simulate` alone forms E = (p + q)/2, H = (p - q)/2 and the energy
+dx/4 (||p||^2 + ||q||^2). Only one operator is alive at a time; for the
+dense engine that keeps one N x N matrix in the L2 cache where two would
+not fit (N = 384 to 512 on a 2 MB L2).
 
 * "dense": the N x N matrix S(+-dt/2), built per chain and applied once
   per step. S(h) is a rational function of the circulant D, and circulants
   are closed under products and inverses, so S(h) is circulant and its
   first column builds it. That column comes from matrix-free conjugate
   gradients on the normal equations (CGNR; Saad, Iterative Methods for
-  Sparse Linear Systems, 2003, sec. 8.3; see DenseCNStepper): no pivoting,
+  Sparse Linear Systems, 2003, sec. 8.3; see cayley_matrix): no pivoting,
   so no error growth with N. This is the default and the behavioral
   reference, FFT-free, LU-free and stepped.
 * "spectral": the FFT diagonalizes the circulant D, so S(+-dt/2) multiplies
   each Fourier mode by the same m = cn_multiplier(+-mu) at every step. The
   engine takes no steps: after k steps a mode is m^k times its start, and
-  the squared norm is a sum of powers |m|^(2k) (see SpectralCNStepper).
+  the squared norm is a sum of powers |m|^(2k) (see _spectral).
   Agrees with the dense engine to roundoff (tested at 1e-12).
 
 A non-skew stencil has multipliers of modulus above 1 (see
@@ -57,6 +56,9 @@ class SimConfig:
             raise ValueError(f"dt must be a nonzero finite number, got {self.dt}")
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
+        R, N = self.stencil.R, self.grid.N
+        if N < 2 * R + 1:
+            raise ValueError(f"grid N={N} too small for stencil radius R={R} (need N >= {2 * R + 1})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +133,10 @@ def _cg(g: np.ndarray, r: np.ndarray, cap: int) -> np.ndarray:
     return x
 
 
-class DenseCNStepper:
-    """Each chain times its N x N circulant S(+-dt/2), built from the first
-    column s of S(h) = (I - h D)^{-1} (I + h D): conjugate gradients on
+def cayley_matrix(cfg: SimConfig, sign: int) -> np.ndarray:
+    """S(sign dt/2), the p chain's N x N circulant for sign = +1 and the q
+    chain's for -1, built from the first column s of
+    S(h) = (I - h D)^{-1} (I + h D): conjugate gradients on
     A^T A s = A^T B e_0, with A = I - h D and B = I + h D, then one
     refinement step, CG on A^T A d = A^T (B e_0 - A s). A^T A is applied
     as one stencil of radius 2R, the self-correlation of A's stencil, so
@@ -145,39 +148,27 @@ class DenseCNStepper:
     about 6 N iterations (N = 1024, dt = 655 dx). Each solve is capped at
     10 N iterations and raises NumericalError there, as it does for a
     near-singular CN system, which CG cannot resolve."""
+    R, N = cfg.stencil.R, cfg.grid.N
+    unit = np.eye(1, 2 * R + 1, R)[0]  # the identity's stencil
+    hw = sign * 0.5 * cfg.dt * cfg.stencil.w  # h D
+    a, b = unit - hw, unit + hw  # the stencils of A and B
+    a_t = a[::-1]  # the stencil of A^T
+    normal = np.convolve(a, a_t)  # the stencil of A^T A, radius 2R
+    rhs = _periodic_correlate(b, np.eye(1, N)[0])
+    s = _cg(normal, _periodic_correlate(a_t, rhs), 10 * N)
+    s += _cg(normal, _periodic_correlate(a_t, rhs - _periodic_correlate(a, s)), 10 * N)
+    return circulant(s)
 
-    def __init__(self, cfg: SimConfig):
-        _cn_symbol(cfg)  # a singular system raises here
-        R, N = cfg.stencil.R, cfg.grid.N
-        if N < 2 * R + 1:
-            raise ValueError(f"grid N={N} too small for stencil radius R={R} (need N >= {2 * R + 1})")
-        unit = np.eye(1, 2 * R + 1, R)[0]  # the identity's stencil
-        hw = 0.5 * cfg.dt * cfg.stencil.w  # (dt/2) D
-        self._minus, self._plus = unit - hw, unit + hw
-        self._e0 = np.eye(1, N)[0]
-        self._cap = 10 * N
-        self.scale = 0.25 * cfg.grid.dx
 
-    def load(self, f: FieldPair) -> tuple[np.ndarray, np.ndarray]:
-        return f.E + f.H, f.E - f.H
+Chain = tuple[np.ndarray, dict[int, np.ndarray]]  # squared norms per step, states at the kept steps
 
-    def cayley(self, sign: int) -> np.ndarray:
-        """S(sign dt/2), the p chain's matrix for sign = +1 and the q chain's for -1."""
-        a, b = self._minus, self._plus  # the stencils of A = I - hD and B = I + hD
-        if sign < 0:
-            a, b = b, a
-        a_t = a[::-1]  # the stencil of A^T
-        normal = np.convolve(a, a_t)  # the stencil of A^T A, radius 2R
-        rhs = _periodic_correlate(b, self._e0)
-        s = _cg(normal, _periodic_correlate(a_t, rhs), self._cap)
-        s += _cg(normal, _periodic_correlate(a_t, rhs - _periodic_correlate(a, s)), self._cap)
-        return circulant(s)
 
-    def chain(self, sign: int, u: np.ndarray, n: int, keep: set[int]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        return _chain(self.cayley(sign).__matmul__, u, n, keep)
-
-    def fields(self, p: np.ndarray, q: np.ndarray) -> FieldPair:
-        return FieldPair(E=0.5 * (p + q), H=0.5 * (p - q))
+def _dense(cfg: SimConfig, init: FieldPair, n: int, keep: set[int]) -> tuple[Chain, Chain]:
+    """Each chain stepped n times by its matrix cayley_matrix(cfg, +-1)."""
+    _cn_symbol(cfg)  # a singular system raises here
+    # each matrix lives only while its chain runs
+    return (_chain(cayley_matrix(cfg, +1).__matmul__, init.E + init.H, n, keep),
+            _chain(cayley_matrix(cfg, -1).__matmul__, init.E - init.H, n, keep))
 
 
 _TWO_PI = 8 * np.arctan(np.longdouble(1))  # in extended precision, for reducing k arg m
@@ -187,12 +178,13 @@ _TWO_PI = 8 * np.arctan(np.longdouble(1))  # in extended precision, for reducing
 _BLOCK_DOUBLES = 2**14
 
 
-class SpectralCNStepper:
-    """Each chain in closed form on the N//2 + 1 rfft modes of p or q: with
-    m = cn_multiplier(+-mu), the state after k steps is m^k u, and its
-    squared norm is sum_theta weight_theta |m_theta|^(2k) |u_theta|^2, where
-    the weight 2 counts each interior mode's conjugate twin (mode 0 and the
-    Nyquist mode have weight 1). No step is taken.
+def _spectral(cfg: SimConfig, init: FieldPair, n: int, keep: set[int]) -> tuple[Chain, Chain]:
+    """Each chain in closed form on the N//2 + 1 rfft modes u of p or q:
+    with m = cn_multiplier(+-mu), the state after k steps is m^k u, and
+    its squared norm is (1/N) sum_theta weight_theta |m_theta|^(2k)
+    |u_theta|^2 (Parseval), where the weight 2 counts each interior mode's
+    conjugate twin (mode 0 and the Nyquist mode have weight 1). No step is
+    taken.
 
     m is the float64 multiplier that stepping would apply. Its log |m|^2
     and arg m, and k arg m reduced mod 2 pi, are taken in extended
@@ -200,40 +192,34 @@ class SpectralCNStepper:
     errors of arg m and |m|^2, 1e-12 at 10^4 steps, where stepping's own
     roundoff random-walks to about 1e-14. States and norms are formed from
     log |u|, so an exactly zero mode stays zero however fast m grows."""
+    mu = _cn_symbol(cfg)
+    N = cfg.grid.N
+    weight = np.full(N // 2 + 1, 2.0)
+    weight[0] = 1.0
+    if N % 2 == 0:
+        weight[-1] = 1.0  # the Nyquist mode is its own twin
+    log_weight = np.log(weight)
 
-    def __init__(self, cfg: SimConfig):
-        self._mu = _cn_symbol(cfg)
-        self._dt = cfg.dt
-        self._N = N = cfg.grid.N
-        weight = np.full(N // 2 + 1, 2.0)
-        weight[0] = 1.0
-        if N % 2 == 0:
-            weight[-1] = 1.0  # the Nyquist mode is its own twin
-        self._log_weight = np.log(weight)
-        self.scale = 0.25 * cfg.grid.dx / N  # Parseval: the energy of the fields
-
-    def load(self, f: FieldPair) -> tuple[np.ndarray, np.ndarray]:
-        Ef = np.fft.rfft(f.E)
-        Hf = np.fft.rfft(f.H)
-        return Ef + Hf, Ef - Hf
-
-    def chain(self, sign: int, u: np.ndarray, n: int, keep: set[int]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        m = cn_multiplier(sign * self._mu, self._dt)
+    def chain(sign: int, u: np.ndarray) -> Chain:
+        m = cn_multiplier(sign * mu, cfg.dt)
         re, im = m.real.astype(np.longdouble), m.imag.astype(np.longdouble)
         log_a = np.log(re * re + im * im).astype(float)  # log |m|^2
         turn = np.arctan2(im, re)  # arg m
         with np.errstate(divide="ignore"):  # log 0 = -inf
             log_r = np.log(np.abs(u))
         arg_u = np.angle(u)
-        kept = {k: np.exp(log_r + 0.5 * k * log_a + 1j * (arg_u + np.remainder(k * turn, _TWO_PI).astype(float)))
+        kept = {k: np.fft.irfft(np.exp(log_r + 0.5 * k * log_a
+                                       + 1j * (arg_u + np.remainder(k * turn, _TWO_PI).astype(float))), n=N)
                 for k in keep}
-        return _power_sums(log_a, self._log_weight + 2.0 * log_r, n), kept
+        return _power_sums(log_a, log_weight + 2.0 * log_r, n) / N, kept
 
-    def fields(self, p: np.ndarray, q: np.ndarray) -> FieldPair:
-        return FieldPair(E=np.fft.irfft(0.5 * (p + q), n=self._N), H=np.fft.irfft(0.5 * (p - q), n=self._N))
+    # rfft(E) +- rfft(H), not rfft(E +- H): the two round the unstable modes differently
+    Ef = np.fft.rfft(init.E)
+    Hf = np.fft.rfft(init.H)
+    return chain(+1, Ef + Hf), chain(-1, Ef - Hf)
 
 
-ENGINES = {"dense": DenseCNStepper, "spectral": SpectralCNStepper}
+ENGINES = {"dense": _dense, "spectral": _spectral}
 
 
 def _power_sums(log_a: np.ndarray, log_v: np.ndarray, n: int) -> np.ndarray:
@@ -295,24 +281,24 @@ def simulate(
     energies[0] = discrete_energy(init, cfg.grid)
     if not np.isfinite(energies[0]):
         raise ValueError("initial fields have non-finite energy")
-    snaps = [] if snapshot_every is None else [k for k in range(1, n + 1) if k % snapshot_every == 0 or k == n]
-    keep = {*snaps, n}
+    # the multiples of snapshot_every up to n, and n
+    snaps = [] if snapshot_every is None else sorted({*range(snapshot_every, n + 1, snapshot_every), n} - {0})
 
-    stepper = ENGINES[engine](cfg)
-    p, q = stepper.load(init)
-    # p to the end, then q: one operator at a time, so a dense S(+-dt/2) stays in
-    # cache. An unstable (non-skew) run overflows; the finiteness check reports it.
+    # An unstable (non-skew) run overflows; the finiteness check reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        p_norms, p_kept = stepper.chain(+1, p, n, keep)
-        q_norms, q_kept = stepper.chain(-1, q, n, keep)
+        (p_norms, p_kept), (q_norms, q_kept) = ENGINES[engine](cfg, init, n, {*snaps, n})
         m = min(p_norms.size, q_norms.size)
-        energies[1:m + 1] = stepper.scale * (p_norms[:m] + q_norms[:m])
+        energies[1:m + 1] = 0.25 * cfg.grid.dx * (p_norms[:m] + q_norms[:m])
     bad = np.flatnonzero(~np.isfinite(energies[:m + 1]))
     if bad.size:
         raise NumericalError(f"energy became non-finite at step {bad[0]} (unstable discretization)")
-    final = stepper.fields(p_kept[n], q_kept[n]) if n > 0 else init
+
+    def fields(p: np.ndarray, q: np.ndarray) -> FieldPair:
+        return FieldPair(E=0.5 * (p + q), H=0.5 * (p - q))
+
+    final = fields(p_kept[n], q_kept[n]) if n > 0 else init
     # pop: each kept state is freed once its fields are built
-    snapshots = [stepper.fields(p_kept.pop(k), q_kept.pop(k)) for k in snaps]
+    snapshots = [fields(p_kept.pop(k), q_kept.pop(k)) for k in snaps]
     if snapshot_every is not None:
         snaps, snapshots = [0, *snaps], [init, *snapshots]
     return SimResult(final=final, energy_series=energies, snapshot_steps=snaps, snapshots=snapshots)

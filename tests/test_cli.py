@@ -297,6 +297,15 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "numerical failure" in proc.stderr and "did not converge" in proc.stderr
 
+    @pytest.mark.parametrize("engine", ["dense", "spectral"])
+    def test_grid_too_small_for_stencil_is_two(self, tmp_path, engine):
+        save_stencil(centered_difference_stencil(Grid1D(N=64), 2), tmp_path / "s.json")
+        proc = run_cli("simulate", "--stencil", str(tmp_path / "s.json"), "--grid-n", "3", "--engine", engine,
+                       "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == "error: grid N=3 too small for stencil radius R=2 (need N >= 5)"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_file_is_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -440,6 +449,29 @@ class TestExitCodes:
         proc = run_cli("experiment", "table1", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path))
         assert proc.returncode == 2
         assert proc.stderr.strip() == "error: unknown config key(s): foo"
+
+
+class TestExperimentFlags:
+    def test_radius_sets_the_noisy_radius(self, tmp_path):
+        proc = run_cli("experiment", "noisy", "--radius", "2", "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["radius"] == 2
+        assert all(len(run["coefficients"]) == 5 for label, run in report["runs"].items() if label != "centered")
+        assert json.loads((tmp_path / "manifest.json").read_text())["config"]["noisy_radius"] == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["dispersion", "--sigma", "0.3"], "--sigma sets the noisy preset's noise level; dispersion does not read it"),
+        (["solver-bench", "--sigma", "0.3"],
+         "--sigma sets the noisy preset's noise level; solver-bench does not read it"),
+        (["nonstandard", "--radius", "4"],
+         "--radius does not apply to nonstandard, which learns its radius-2 target operator"),
+    ], ids=["dispersion-sigma", "solver-bench-sigma", "nonstandard-radius"])
+    def test_flag_the_preset_does_not_read_is_two(self, tmp_path, argv, message):
+        proc = run_cli("experiment", *argv, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == f"error: {message}"
+        assert not (tmp_path / "out").exists()
 
 
 class TestOutputDirectory:

@@ -22,10 +22,10 @@ from stencil_lab.core import (
 )
 from stencil_lab.experiments import RunDir, simulate_csvs
 from stencil_lab.simulate import (
-    DenseCNStepper,
+    ENGINES,
     SimConfig,
     SimResult,
-    SpectralCNStepper,
+    cayley_matrix,
     cn_multiplier,
     relative_l2_error,
     simulate,
@@ -174,6 +174,13 @@ class TestSimulate:
         with pytest.raises(NumericalError, match="singular"):
             simulate(single_mode_initial_condition(grid), cfg, engine=engine)
 
+    @pytest.mark.parametrize("engine", ["dense", "spectral"])
+    def test_grid_too_small_for_stencil_rejected(self, engine):
+        grid = Grid1D(N=4)
+        with pytest.raises(ValueError, match=r"^grid N=4 too small for stencil radius R=2 \(need N >= 5\)$"):
+            simulate(single_mode_initial_condition(grid), standard_config(grid, centered_difference_stencil(grid, 2)),
+                     engine=engine)
+
     def test_near_singular_dense_system_raises(self, grid):
         # symmetric stencil with (dt/2) mu(0) = 1 - 1e-10: I - (dt/2) D has a singular value of 1e-10,
         # which the dense engine's conjugate gradients cannot resolve within their cap
@@ -227,9 +234,8 @@ class TestEngineStructure:
         grid = Grid1D(N=w.size + extra_cells)
         cfg = standard_config(grid, Stencil(w / grid.dx, grid.dx), dt_ratio=-dt_ratio if backward else dt_ratio,
                               n_steps=1)
-        stepper = DenseCNStepper(cfg)
         for sign in (1, -1):
-            S = stepper.cayley(sign)
+            S = cayley_matrix(cfg, sign)
             exact = fft_cayley(cfg, sign)
             assert np.max(np.abs(S - exact)) <= 1e-14 * max(1.0, np.max(np.abs(exact)))
             assert all(np.array_equal(S[i], np.roll(S[0], i)) for i in range(grid.N))
@@ -256,11 +262,9 @@ class TestEngineStructure:
         rng = np.random.default_rng(seed)
         grid = Grid1D(N=N)
         f = FieldPair(rng.normal(size=N) * 10.0**scale, rng.normal(size=N) * 10.0**scale)
-        stepper = SpectralCNStepper(standard_config(grid, Stencil(np.zeros(3), grid.dx), n_steps=1))
-        p, q = stepper.load(f)
-        (p_norm,), _ = stepper.chain(+1, p, 1, set())
-        (q_norm,), _ = stepper.chain(-1, q, 1, set())
-        assert stepper.scale * (p_norm + q_norm) == pytest.approx(discrete_energy(f, grid), rel=1e-14)
+        cfg = standard_config(grid, Stencil(np.zeros(3), grid.dx), n_steps=1)
+        ((p_norm,), _), ((q_norm,), _) = ENGINES["spectral"](cfg, f, 1, set())
+        assert 0.25 * grid.dx * (p_norm + q_norm) == pytest.approx(discrete_energy(f, grid), rel=1e-14)
 
     @pytest.mark.parametrize("N", [64, 4096])
     def test_spectral_engine_takes_no_steps(self, N, monkeypatch, rng):
@@ -292,9 +296,12 @@ def lockstep_simulate(init, cfg, snapshot_every, engine):
     """Reference: p and q stepped together, the energy checked after each
     step. This was simulate's loop before it ran the chains one by one."""
     grid, n = cfg.grid, cfg.n_steps
+    mu = fourier_symbol(cfg.stencil, 2.0 * np.pi * np.fft.fftfreq(grid.N))
+    half_mu = 0.5 * cfg.dt * mu
+    if np.any((half_mu == 1.0) | (half_mu == -1.0)):
+        raise NumericalError("Crank-Nicolson system matrix is singular for this stencil and dt")
     if engine == "dense":
-        stepper = DenseCNStepper(cfg)
-        S_p, S_q = stepper.cayley(+1), stepper.cayley(-1)
+        S_p, S_q = cayley_matrix(cfg, +1), cayley_matrix(cfg, -1)
         p, q = init.E + init.H, init.E - init.H
 
         def advance(p, q):
@@ -306,7 +313,6 @@ def lockstep_simulate(init, cfg, snapshot_every, engine):
         def fields(p, q):
             return FieldPair(E=0.5 * (p + q), H=0.5 * (p - q))
     else:
-        mu = fourier_symbol(cfg.stencil, 2.0 * np.pi * np.fft.fftfreq(grid.N))
         mult_p, mult_q = cn_multiplier(mu, cfg.dt), cn_multiplier(-mu, cfg.dt)
         Ef, Hf = real_fft(init.E), real_fft(init.H)
         p, q = Ef + Hf, Ef - Hf
@@ -369,6 +375,10 @@ class TestChainMajor:
              snapshot_every=None, seed=None)
     @example(w=[0.0, -1.0, 1.0], skew=False, extra_cells=61, dt_ratio=0.5, backward=False, n_steps=400,
              snapshot_every=3, seed=None)
+    # (dt/2) mu(0) = 1 at N=3: the reference reports the singular CN system as simulate does, not a
+    # division by zero
+    @example(w=[0.0, 0.0, 1.0], skew=False, extra_cells=0, dt_ratio=2.0, backward=False, n_steps=0,
+             snapshot_every=None, seed=None)
     def test_bit_identical_to_lockstep_loop(self, w, skew, extra_cells, dt_ratio, backward, n_steps, snapshot_every, seed):
         """Running p to the end and then q gives the lockstep loop's fields,
         energies and snapshots, or its error at the same step: bit for bit
