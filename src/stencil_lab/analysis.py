@@ -118,8 +118,8 @@ def convergence_study(
     for name, value in (("final time T", T), ("dt_ratio", dt_ratio)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
-    if list(resolutions) != sorted(set(resolutions)):
-        raise ValueError("resolutions must be strictly ascending")
+    if not resolutions or list(resolutions) != sorted(set(resolutions)):
+        raise ValueError("resolutions must be nonempty and strictly ascending")
     rows: list[ConvergenceRow] = []
     for N in resolutions:
         grid = Grid1D(N=N, L=L)

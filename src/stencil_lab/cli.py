@@ -14,9 +14,8 @@ A config file's keys are the subcommand's long option names with `_`
 (n_sims, grid_n, dt_ratio, ...) and become that subcommand's defaults, so
 a flag beats the file and the file beats the built-in default. The
 `experiment` config file instead holds ExperimentConfig fields, nested as
-in a preset manifest's `config`, and --seed, --sigma and --radius are
-merged onto it (--radius sets noisy_radius on the noisy preset; --sigma on
-any other preset, and --radius on nonstandard, are errors). Every
+in a preset manifest's `config`, and --seed, --sigma (training.noise_std)
+and --radius are merged onto it (--radius is an error on nonstandard). Every
 subcommand writes manifest.json (subcommand or preset, version, seed,
 resolved settings, outputs, solver stop reasons) and warns on stderr about
 each solve stopped at its iteration cap.
@@ -231,7 +230,7 @@ def _cmd_converge(args) -> int:
         solver_opts=_solver_options(args),
         resolutions=args.resolutions,
         t_final=args.t_final,
-        convergence_dt_ratio=args.dt_ratio,
+        dt_ratio=args.dt_ratio,
         output_dir=args.out,
     )
     report = run_convergence(cfg)
@@ -243,17 +242,11 @@ def _cmd_converge(args) -> int:
 
 def _cmd_experiment(args) -> int:
     name = args.name.replace("-", "_")
-    if args.sigma is not None and name != "noisy":
-        raise ValueError(f"--sigma sets the noisy preset's noise level; {args.name} does not read it")
     if args.radius is not None and name == "nonstandard":
         raise ValueError("--radius does not apply to nonstandard, which learns its radius-2 target operator")
-    changes = {**_load_config(args.config), "name": name}
-    radius_key = "noisy_radius" if name == "noisy" else "radius"
-    flags = {"output_dir": args.out, "noisy_sigma": args.sigma, radius_key: args.radius}
-    changes.update({key: value for key, value in flags.items() if value is not None})
-    cfg = ExperimentConfig.from_dict(changes)
-    if args.seed is not None:
-        cfg = merge(cfg, {"training": {"seed": args.seed}})
+    flags = {key: value for key, value in {"output_dir": args.out, "radius": args.radius}.items() if value is not None}
+    training = {key: value for key, value in {"seed": args.seed, "noise_std": args.sigma}.items() if value is not None}
+    cfg = merge(ExperimentConfig.from_dict({**_load_config(args.config), "name": name}), {**flags, "training": training})
     report = run_experiment(cfg)
     print(json.dumps(report, indent=2, default=str))
     _warn_capped(_read_manifest(cfg.output_dir)["solves"])
@@ -312,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(p)
     p.set_defaults(seed=None, out=None)  # unset flags leave the file's or the preset's values
     p.add_argument("name", choices=[name.replace("_", "-") for name in EXPERIMENT_NAMES])
-    p.add_argument("--sigma", type=float, default=None, help="noise level for the noisy preset")
-    p.add_argument("--radius", type=int, default=None, help="learned stencil radius (noisy_radius for noisy)")
+    p.add_argument("--sigma", type=float, default=None, help="derivative noise std (default: the preset's)")
+    p.add_argument("--radius", type=int, default=None, help="learned stencil radius (default: the preset's)")
 
     return parser
 

@@ -104,30 +104,36 @@ def merge(base, changes: dict):
     return replace(base, **updates)
 
 
+# the defaults that differ by preset, over radius 1, dt_ratio 0.5 and clean
+# data; noisy's noise_std is tuned so the unconstrained stencil blows up by
+# many orders of magnitude while everything stays float-finite
+_PRESET_DEFAULTS = {"convergence": {"dt_ratio": 0.2}, "noisy": {"radius": 3, "noise_std": 0.05}}
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     name: str
-    training: TrainingConfig = field(default_factory=default_training_config)
-    radius: int = 1
+    training: TrainingConfig | None = None  # None, here and for radius and dt_ratio: the preset's default
+    radius: int | None = None
     lam: float = 1e-6
     box_bound: float = 100.0
     solver_opts: SolverOptions = field(default_factory=SolverOptions)
-    dt_ratio: float = 0.5
+    dt_ratio: float | None = None
     n_steps: int = 300
     snapshot_every: int = 5
     # convergence study
     resolutions: tuple[int, ...] = (64, 128, 256, 512)
     t_final: float = 10.0
-    convergence_dt_ratio: float = 0.2
-    # noisy training: sigma tuned so the unconstrained stencil blows up by
-    # many orders of magnitude while everything stays float-finite
-    noisy_sigma: float = 0.05
-    noisy_radius: int = 3
     output_dir: Path = Path("stencil-lab-out")
 
     def __post_init__(self):
         if self.name not in EXPERIMENT_NAMES:
             raise ValueError(f"unknown experiment '{self.name}', choose from {EXPERIMENT_NAMES}")
+        preset = {"radius": 1, "dt_ratio": 0.5, "noise_std": 0.0, **_PRESET_DEFAULTS.get(self.name, {})}
+        preset["training"] = replace(default_training_config(), noise_std=preset.pop("noise_std"))
+        for key, value in preset.items():
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, value)
         object.__setattr__(self, "resolutions", tuple(self.resolutions))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
@@ -378,7 +384,7 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
         run.record(f"admm_N{grid.N}", report)
         return stencil
 
-    rows = convergence_study(provider, cfg.resolutions, T=cfg.t_final, dt_ratio=cfg.convergence_dt_ratio, L=cfg.training.grid.L)
+    rows = convergence_study(provider, cfg.resolutions, T=cfg.t_final, dt_ratio=cfg.dt_ratio, L=cfg.training.grid.L)
     run.write_csv("convergence.csv", ["N_x", "dx", "error", "order"], ([r.N_x, r.dx, r.error, r.order] for r in rows))
     report = {"rows": [asdict(r) for r in rows]}
     run.finish(report)
@@ -392,7 +398,7 @@ def run_nonstandard(cfg: ExperimentConfig) -> dict:
     run = _preset_run(cfg)
     grid = cfg.training.grid
     w_star = nonstandard_target(grid)
-    ts = generate_operator_training_set(replace(cfg.training, noise_std=0.0), w_star)
+    ts = generate_operator_training_set(cfg.training, w_star)
     w_qp, solver_report = learn_stencil(ts, w_star.R, ADMM, cfg.lam, cfg.box_bound, cfg.solver_opts)
     run.record("admm", solver_report)
     w_cd = centered_difference_stencil(grid, 2)
@@ -428,12 +434,12 @@ def run_noisy(cfg: ExperimentConfig) -> dict:
     growth factor; the unconstrained run's energy_ratio is seeded by
     roundoff (its fastest-growing mode, the Nyquist mode here, starts from
     rounding error), so only its order of magnitude is reproducible."""
-    if cfg.noisy_sigma <= 0:
-        raise ValueError("noisy experiment needs noisy_sigma > 0")
+    if cfg.training.noise_std <= 0:
+        raise ValueError("noisy experiment needs training.noise_std > 0")
     run = _preset_run(cfg)
     grid = cfg.training.grid
-    R = cfg.noisy_radius
-    ts = generate_training_set(replace(cfg.training, noise_std=cfg.noisy_sigma))
+    R = cfg.radius
+    ts = generate_training_set(cfg.training)
     system = assemble_regression(ts, R=R, lam=cfg.lam, M=cfg.box_bound)
 
     ridge = system.gram + cfg.lam * np.eye(system.n_coeffs)
@@ -467,7 +473,7 @@ def run_noisy(cfg: ExperimentConfig) -> dict:
         qp_vs_clean = relative_l2_error(finals["constrained_qp"], finals["centered"], grid)
 
     report = {
-        "sigma": cfg.noisy_sigma,
+        "sigma": cfg.training.noise_std,
         "radius": R,
         "ls_gram_condition": ls_condition,
         "runs": entries,

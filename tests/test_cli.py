@@ -444,6 +444,13 @@ class TestExitCodes:
         assert proc.stderr.strip().splitlines() == [proc.stderr.strip()]
         assert proc.stderr.startswith("error: m_max must satisfy 1 <= m_max < N/2")
 
+    def test_empty_convergence_study_is_two(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"resolutions": []}))
+        proc = run_cli("experiment", "convergence", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == "error: resolutions must be nonempty and strictly ascending"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key_is_two(self, tmp_path):
         (tmp_path / "cfg.json").write_text(json.dumps({"foo": 1}))
         proc = run_cli("experiment", "table1", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path))
@@ -458,15 +465,46 @@ class TestExperimentFlags:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["radius"] == 2
         assert all(len(run["coefficients"]) == 5 for label, run in report["runs"].items() if label != "centered")
-        assert json.loads((tmp_path / "manifest.json").read_text())["config"]["noisy_radius"] == 2
+        assert json.loads((tmp_path / "manifest.json").read_text())["config"]["radius"] == 2
+
+    def test_config_file_radius_reaches_noisy(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"radius": 2}))
+        proc = run_cli("experiment", "noisy", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert (report["radius"], report["sigma"]) == (2, 0.05)
+        assert len(report["runs"]["constrained_qp"]["coefficients"]) == 5
+
+    def test_sigma_sets_the_training_noise(self, tmp_path):
+        proc = run_cli("experiment", "dispersion", "--sigma", "0.3", "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "manifest.json").read_text())["config"]["training"]["noise_std"] == 0.3
+
+    def test_convergence_reads_dt_ratio(self, tmp_path):
+        # the preset with a config-file dt_ratio matches `converge --dt-ratio`
+        (tmp_path / "cfg.json").write_text(json.dumps({"dt_ratio": 0.1, "resolutions": [32, 64], "t_final": 1}))
+        proc = run_cli("experiment", "convergence", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "exp"))
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli("converge", "--resolutions", "32,64", "--t-final", "1", "--dt-ratio", "0.1", "--out", str(tmp_path / "cmd"))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "exp" / "convergence.csv").read_bytes() == (tmp_path / "cmd" / "convergence.csv").read_bytes()
+        assert json.loads((tmp_path / "exp" / "manifest.json").read_text())["config"]["dt_ratio"] == 0.1
+
+    # keys of older manifests: each preset default now lives in its plain field
+    @pytest.mark.parametrize("preset, key, value", [
+        ("noisy", "noisy_radius", 2), ("convergence", "convergence_dt_ratio", 0.1), ("dispersion", "noisy_sigma", 0.3),
+    ])
+    def test_removed_preset_key_is_two(self, tmp_path, preset, key, value):
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        proc = run_cli("experiment", preset, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == f"error: unknown config key(s): {key}"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["dispersion", "--sigma", "0.3"], "--sigma sets the noisy preset's noise level; dispersion does not read it"),
-        (["solver-bench", "--sigma", "0.3"],
-         "--sigma sets the noisy preset's noise level; solver-bench does not read it"),
         (["nonstandard", "--radius", "4"],
          "--radius does not apply to nonstandard, which learns its radius-2 target operator"),
-    ], ids=["dispersion-sigma", "solver-bench-sigma", "nonstandard-radius"])
+    ], ids=["nonstandard-radius"])
     def test_flag_the_preset_does_not_read_is_two(self, tmp_path, argv, message):
         proc = run_cli("experiment", *argv, "--out", str(tmp_path / "out"))
         assert proc.returncode == 2

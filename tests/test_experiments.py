@@ -180,9 +180,10 @@ class TestNoisy:
         assert "solves" not in report
 
     def test_requires_positive_sigma(self, tmp_path):
-        cfg = ExperimentConfig(name="noisy", noisy_sigma=0.0, output_dir=tmp_path)
-        with pytest.raises(ValueError):
+        cfg = merge(ExperimentConfig(name="noisy", output_dir=tmp_path / "out"), {"training": {"noise_std": 0}})
+        with pytest.raises(ValueError, match=r"^noisy experiment needs training\.noise_std > 0$"):
             run_noisy(cfg)
+        assert not (tmp_path / "out").exists()
 
 
 class TestEnergyAndDispersion:
@@ -291,7 +292,7 @@ _config_data = st.fixed_dictionaries({
         "amplitude_std": _finite(1e-6, 1e3),
         "noise_std": _finite(0.0, 1e3),
     }),
-    "radius": st.integers(1, 8),
+    "radius": st.none() | st.integers(1, 8),
     "lam": _finite(0.0, 1.0),
     "box_bound": _finite(1e-3, 1e9),
     "solver_opts": st.fixed_dictionaries({
@@ -300,10 +301,10 @@ _config_data = st.fixed_dictionaries({
         "rho": _finite(1e-6, 1e3),
         "step": st.none() | _finite(1e-9, 1e3),
     }),
+    "dt_ratio": st.none() | _finite(1e-3, 10.0),
     "n_steps": st.integers(0, 10_000),
     "resolutions": st.lists(st.integers(3, 4096), max_size=5),
     "t_final": _finite(1e-3, 1e3),
-    "noisy_sigma": _finite(0.0, 1.0),
     "output_dir": st.text("ab_-/.", min_size=1, max_size=12),
 })
 
@@ -317,6 +318,23 @@ class TestConfig:
         assert asdict(clone) == asdict(cfg)
         assert clone.training.grid.N == data["training"]["grid"]["N"]
         assert clone.resolutions == tuple(data["resolutions"])
+
+    # (radius, dt_ratio, training.noise_std) each preset runs with by default;
+    # nonstandard learns its radius-2 target and does not read radius
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_preset_defaults(self, name):
+        expected = {
+            "table1": (1, 0.5, 0.0),
+            "convergence": (1, 0.2, 0.0),
+            "energy": (1, 0.5, 0.0),
+            "dispersion": (1, 0.5, 0.0),
+            "nonstandard": (1, 0.5, 0.0),
+            "noisy": (3, 0.5, 0.05),
+            "solver_bench": (1, 0.5, 0.0),
+        }[name]
+        cfg = ExperimentConfig(name=name)
+        assert (cfg.radius, cfg.dt_ratio, cfg.training.noise_std) == expected
+        assert ExperimentConfig.from_dict({"name": name, "radius": None, "dt_ratio": None}).to_dict() == cfg.to_dict()
 
     def test_merge_keeps_nested_defaults(self):
         cfg = merge(ExperimentConfig(name="table1"), {"training": {"grid": {"N": 128}}, "radius": 2})
