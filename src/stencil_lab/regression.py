@@ -188,11 +188,9 @@ class ReducedProblem:
     def R(self) -> int:
         return self.g.size
 
-    def objective(self, a: np.ndarray, Ha: np.ndarray | None = None) -> float:
-        """F(a); a caller that already holds H @ a passes it as Ha."""
-        if Ha is None:
-            Ha = self.H @ a
-        return 0.5 * float(a @ Ha) - float(self.g @ a) + 0.5 * self.btb
+    def objective(self, a: np.ndarray) -> float:
+        """F(a)."""
+        return 0.5 * float(a @ (self.H @ a)) - float(self.g @ a) + 0.5 * self.btb
 
 
 def reduce_problem(sys: RegressionSystem) -> ReducedProblem:

@@ -16,16 +16,27 @@ All solvers start from the zero stencil and record per-iteration traces
 of the objective, iterate change in w and wall-clock time.
 
 At these sizes an iteration costs the numpy calls it makes, not their
-arithmetic, so each iterate's H a is formed once and feeds the traced
-objective, the next gradient and NAG's mapping test. Clipping by
-np.minimum/np.maximum and the norm as sqrt(d @ d) give the bits of
-np.clip and np.linalg.norm at a fraction of their call overhead.
+arithmetic. So PG, NAG and ADMM each make only the calls that form their
+next iterate, and one driver (_iterate) measures the iterates a block at
+a time. It stacks a block's iterates, forms their H a, objectives,
+iterate changes and NAG's projected-gradient mappings in a few
+whole-block calls, and keeps the rows up to the first that passes the
+stopping test or has a non-finite objective: exactly where a loop that
+measured each iterate in turn would have stopped or raised. Stacked
+np.matmul and np.vecdot run the same BLAS kernel on each row as H @ a
+and a @ b, so every row has the bits of that loop. Blocks double from
+_FIRST_BLOCK to _LAST_BLOCK iterates, so a solve that stops after k
+iterations forms at most 2k + 2 iterates below the last block length
+and k + _LAST_BLOCK - 1 above it. Clipping by np.minimum/np.maximum,
+H.dot(a) and the norm as sqrt(d @ d) give the bits of np.clip, H @ a and
+np.linalg.norm at a fraction of their call overhead.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -50,8 +61,11 @@ _DEFAULT_MAX_ITERS = {PG: 500, NAG: 500, ADMM: 100}
 # ||P a|| = sqrt(2) ||a||: iterate changes are reported and tested in w
 _W_NORM = math.sqrt(2.0)
 
-# (SolverReport field, trace-CSV column) of each trace, in the order _Trace records them
+# (SolverReport field, trace-CSV column) of each trace, in the order _iterate records them
 TRACE_COLUMNS = (("objective_trace", "objective"), ("step_diff_trace", "step_diff"), ("time_trace", "elapsed_s"))
+
+# _iterate's block lengths double from the first to the last, which then repeats
+_FIRST_BLOCK, _LAST_BLOCK = 4, 64
 
 
 @dataclass(frozen=True)
@@ -68,8 +82,10 @@ class SolverOptions:
     step: float | None = None
 
     def __post_init__(self):
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if self.max_iters is not None and (
+            isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1
+        ):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if not (math.isfinite(self.rho) and self.rho > 0):
@@ -84,7 +100,10 @@ class SolverOptions:
 @dataclass(frozen=True, eq=False)
 class SolverReport:
     """Traces are aligned: entry k holds the state after iteration k+1.
-    stop_reason is 'tol' (the stopping test passed), 'max_iters' (the cap
+    time_trace[k] is the wall-clock time from the start of the solve to
+    when that iterate was formed; its objective and stopping test are
+    evaluated later, with the rest of its block, and are not inside the
+    interval. stop_reason is 'tol' (the stopping test passed), 'max_iters' (the cap
     was reached first) or 'exact' (the reference solve)."""
 
     w_final: np.ndarray
@@ -105,35 +124,11 @@ class SolverReport:
         }
 
 
-class _Trace:
-    def __init__(self, method: str, prob: ReducedProblem):
-        self.method = method
-        self.prob = prob
-        self.rows: list[tuple[float, float, float]] = []
-        self._t0 = time.perf_counter()
-
-    def record(self, a: np.ndarray, Ha: np.ndarray, diff: float) -> None:
-        """Ha is H @ a, which the caller has already formed."""
-        f = self.prob.objective(a, Ha)
-        if not math.isfinite(f):
-            raise NumericalError(f"{self.method}: objective became non-finite at iteration {len(self.rows) + 1}")
-        self.rows.append((f, diff, time.perf_counter() - self._t0))
-
-    def report(self, a_final: np.ndarray, stop_reason: str) -> SolverReport:
-        return SolverReport(
-            w_final=lift(a_final),
-            **{name: trace for (name, _), trace in zip(TRACE_COLUMNS, np.array(self.rows).T)},
-            iterations=len(self.rows),
-            method=self.method,
-            stop_reason=stop_reason,
-        )
-
-
-def _setup(method: str, sys: RegressionSystem, cs: SkewConstraints) -> tuple[ReducedProblem, _Trace]:
+def _setup(sys: RegressionSystem, cs: SkewConstraints) -> tuple[ReducedProblem, float]:
+    """The reduced problem and the solve's start time."""
     if cs.R != sys.R:
         raise ValueError(f"constraints are for radius {cs.R} but the system has radius {sys.R}")
-    prob = reduce_problem(sys)
-    return prob, _Trace(method, prob)
+    return reduce_problem(sys), time.perf_counter()
 
 
 def _stepsize(sys: RegressionSystem, opts: SolverOptions) -> float:
@@ -142,36 +137,107 @@ def _stepsize(sys: RegressionSystem, opts: SolverOptions) -> float:
     Lipschitz constant of grad f."""
     if opts.step is not None:
         return 0.5 * opts.step
-    lip = np.linalg.eigvalsh(sys.gram)[-1] + sys.lam
+    lip = float(np.linalg.eigvalsh(sys.gram)[-1] + sys.lam)
     return 0.5 / lip if lip > 0.0 else 0.5
 
 
-def _clip(a: np.ndarray, M: float) -> np.ndarray:
-    return np.minimum(np.maximum(a, -M), M)
+def _clip(a: np.ndarray, lo, hi) -> np.ndarray:
+    return np.minimum(np.maximum(a, lo), hi)
 
 
-def _w_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """||P a - P b||, the iterate change in w."""
-    d = a - b
-    return _W_NORM * math.sqrt(d @ d)
+def _box(prob: ReducedProblem) -> tuple[np.ndarray, np.ndarray]:
+    """-M and M as arrays, which np.maximum and np.minimum take faster than scalars."""
+    return np.full(prob.R, -prob.M), np.full(prob.R, prob.M)
+
+
+def _matvecs(H: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """H @ a for each row a of A, with the bits of H @ a (A @ H.T has others)."""
+    return np.matmul(H, A[:, :, None])[:, :, 0]
+
+
+def _w_norms(D: np.ndarray) -> np.ndarray:
+    """||P d|| of each row d of D, with the bits of sqrt(2) * sqrt(d @ d)."""
+    return _W_NORM * np.sqrt(np.vecdot(D, D))
+
+
+def _measures(prob: ReducedProblem, W: np.ndarray, step: float | None = None):
+    """The objective, the iterate change in w and, given NAG's step, the
+    projected-gradient mapping of each row of W but the first, which is
+    the iterate before them; with the bits of each row's own calls."""
+    A = W[1:]
+    HA = _matvecs(prob.H, A)
+    objective = 0.5 * np.vecdot(A, HA) - np.vecdot(prob.g, A) + 0.5 * prob.btb
+    diff = _w_norms(A - W[:-1])
+    mapping = None if step is None else _w_norms(A - _clip(A - step * (HA - prob.g), -prob.M, prob.M))
+    return objective, diff, mapping
+
+
+def _report(method: str, a_final: np.ndarray, blocks: list, stop_reason: str) -> SolverReport:
+    """blocks holds an (objectives, iterate changes, times) triple per block."""
+    traces = [np.concatenate(trace) for trace in zip(*blocks)]
+    return SolverReport(
+        w_final=lift(a_final),
+        **{name: trace for (name, _), trace in zip(TRACE_COLUMNS, traces)},
+        iterations=len(traces[0]),
+        method=method,
+        stop_reason=stop_reason,
+    )
+
+
+def _iterate(method: str, prob: ReducedProblem, t0: float, iterates, max_iters: int, tol: float,
+             mapping_step: float | None = None) -> SolverReport:
+    """Run a solver to its first stop or to max_iters, measuring its
+    iterates a block at a time (see the module docstring).
+
+    iterates yields (a, returned) per iteration: the iterate whose
+    objective and change are traced, and what the solve returns if it
+    stops there. The stopping test is iterate change <= tol, or NAG's
+    mapping at mapping_step <= tol when that is given. Iteration k's
+    objective is checked before its stopping test, as a loop would.
+    Overflow raises no warning: a non-finite objective raises
+    NumericalError, and iterates formed past the stop or the raise are
+    discarded.
+    """
+    blocks, returned = [], None
+    a_before = np.zeros(prob.R)
+    done, block = 0, _FIRST_BLOCK
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < max_iters:
+            pairs, times = [], []
+            for pair in itertools.islice(iterates, min(block, max_iters - done)):
+                times.append(time.perf_counter() - t0)
+                pairs.append(pair)
+            W = np.array([a_before, *(a for a, _ in pairs)])
+            objective, diff, mapping = _measures(prob, W, mapping_step)
+            stops = np.nonzero((diff if mapping is None else mapping) <= tol)[0]
+            n = int(stops[0]) + 1 if stops.size else len(pairs)
+            finite = np.isfinite(objective[:n])
+            if not finite.all():
+                raise NumericalError(f"{method}: objective became non-finite at iteration {done + int(finite.argmin()) + 1}")
+            blocks.append((objective[:n], diff[:n], times[:n]))
+            done, returned = done + n, pairs[n - 1][1]
+            if stops.size:
+                return _report(method, returned, blocks, "tol")
+            a_before, block = W[-1], min(2 * block, _LAST_BLOCK)
+    return _report(method, returned, blocks, "max_iters")
 
 
 def solve_pg(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = SolverOptions()) -> SolverReport:
     """Projected gradient: a <- clip(a - alpha/2 grad F(a)). Monotone
     descent for alpha <= 1/L; every iterate is feasible by construction."""
-    prob, trace = _setup(PG, sys, cs)
+    prob, t0 = _setup(sys, cs)
     step = _stepsize(sys, opts)
-    H, g, M = prob.H, prob.g, prob.M
-    a = np.zeros(prob.R)
-    Ha = H @ a
-    for _ in range(opts.resolve_max_iters(PG)):
-        a_new = _clip(a - step * (Ha - g), M)
-        diff = _w_dist(a_new, a)
-        a, Ha = a_new, H @ a_new
-        trace.record(a, Ha, diff)
-        if diff <= opts.tol:
-            return trace.report(a, "tol")
-    return trace.report(a, "max_iters")
+
+    def iterates():
+        H, g, (lo, hi) = prob.H, prob.g, _box(prob)
+        a = np.zeros(prob.R)
+        Ha = H.dot(a)
+        while True:
+            a = _clip(a - step * (Ha - g), lo, hi)
+            yield a, a
+            Ha = H.dot(a)
+
+    return _iterate(PG, prob, t0, iterates(), opts.resolve_max_iters(PG), opts.tol)
 
 
 def solve_nag(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = SolverOptions()) -> SolverReport:
@@ -179,24 +245,21 @@ def solve_nag(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = 
     schedule t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2, beta_k = (t_k - 1) / t_{k+1},
     t_0 = 1 (the first extrapolation is null). The objective may
     oscillate; stopping uses the projected-gradient mapping."""
-    prob, trace = _setup(NAG, sys, cs)
+    prob, t0 = _setup(sys, cs)
     step = _stepsize(sys, opts)
-    H, g, M = prob.H, prob.g, prob.M
-    a = np.zeros(prob.R)
-    a_prev = a.copy()
-    t = 1.0
-    for _ in range(opts.resolve_max_iters(NAG)):
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_next
-        y = a + beta * (a - a_prev)
-        a_new = _clip(y - step * (H @ y - g), M)
-        Ha_new = H @ a_new
-        trace.record(a_new, Ha_new, _w_dist(a_new, a))
-        mapping = _w_dist(a_new, _clip(a_new - step * (Ha_new - g), M))
-        a_prev, a, t = a, a_new, t_next
-        if mapping <= opts.tol:
-            return trace.report(a, "tol")
-    return trace.report(a, "max_iters")
+
+    def iterates():
+        H, g, (lo, hi) = prob.H, prob.g, _box(prob)
+        a = a_prev = np.zeros(prob.R)
+        t = 1.0
+        while True:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_next
+            y = a + beta * (a - a_prev)
+            a_prev, a, t = a, _clip(y - step * (H.dot(y) - g), lo, hi), t_next
+            yield a, a
+
+    return _iterate(NAG, prob, t0, iterates(), opts.resolve_max_iters(NAG), opts.tol, mapping_step=step)
 
 
 def solve_admm(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = SolverOptions()) -> SolverReport:
@@ -208,20 +271,20 @@ def solve_admm(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions =
     an R x R system. Returns the final z, which is feasible for the box
     by construction.
     """
-    prob, trace = _setup(ADMM, sys, cs)
-    rho2 = 2.0 * opts.rho
-    K = prob.H + rho2 * np.eye(prob.R)
-    a, z, u = np.zeros(prob.R), np.zeros(prob.R), np.zeros(prob.R)
-    for _ in range(opts.resolve_max_iters(ADMM)):
-        a_new = np.linalg.solve(K, prob.g + rho2 * (z - u))
-        z = _clip(a_new + u, prob.M)
-        u = u + a_new - z
-        diff = _w_dist(a_new, a)
-        trace.record(a_new, prob.H @ a_new, diff)
-        a = a_new
-        if diff <= opts.tol:
-            return trace.report(z, "tol")
-    return trace.report(z, "max_iters")
+    prob, t0 = _setup(sys, cs)
+
+    def iterates():
+        rho2 = 2.0 * opts.rho
+        K = prob.H + rho2 * np.eye(prob.R)
+        g, (lo, hi) = prob.g, _box(prob)
+        z, u = np.zeros(prob.R), np.zeros(prob.R)
+        while True:
+            a = np.linalg.solve(K, g + rho2 * (z - u))
+            z = _clip(a + u, lo, hi)
+            u = u + a - z
+            yield a, z
+
+    return _iterate(ADMM, prob, t0, iterates(), opts.resolve_max_iters(ADMM), opts.tol)
 
 
 def _box_qp(prob: ReducedProblem) -> np.ndarray:
@@ -259,13 +322,15 @@ def _box_qp(prob: ReducedProblem) -> np.ndarray:
 def solve_reference(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = SolverOptions()) -> SolverReport:
     """Exact solve of the reduced box QP; the optimality baseline for
     the first-order solvers. Records a single trace entry."""
-    prob, trace = _setup(REFERENCE, sys, cs)
+    prob, t0 = _setup(sys, cs)
     try:
         a = _box_qp(prob)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("reference solver: singular reduced Hessian") from exc
-    trace.record(a, prob.H @ a, _W_NORM * math.sqrt(a @ a))
-    return trace.report(a, "exact")
+    objective = prob.objective(a)
+    if not math.isfinite(objective):
+        raise NumericalError(f"{REFERENCE}: objective became non-finite at iteration 1")
+    return _report(REFERENCE, a, [([objective], [_W_NORM * math.sqrt(a @ a)], [time.perf_counter() - t0])], "exact")
 
 
 _SOLVERS = {PG: solve_pg, NAG: solve_nag, ADMM: solve_admm, REFERENCE: solve_reference}

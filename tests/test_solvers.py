@@ -1,10 +1,11 @@
 import csv
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stencil_lab.core import NumericalError
@@ -28,6 +29,7 @@ from stencil_lab.solvers import (
     solve_pg,
     solve_reference,
 )
+from stencil_lab.solvers import _FIRST_BLOCK, _LAST_BLOCK, _matvecs
 
 from oracles import skew_coordinates
 
@@ -222,6 +224,28 @@ def assert_matches_loop(method, sys, opts):
     return None
 
 
+def block_edges(limit):
+    """The iteration counts up to limit at which the solvers' blocks end."""
+    edges, end, block = [], 0, _FIRST_BLOCK
+    while end + block <= limit:
+        end += block
+        edges.append(end)
+        block = min(2 * block, _LAST_BLOCK)
+    return edges
+
+
+def at_block_edges(test):
+    """Examples that run each method to a cap of max_iters = 1 and of one
+    either side of each block edge: PG and NAG on the default data at R = 2,
+    ADMM at R = 4, where none of them stops before 200 iterations."""
+    for edge in block_edges(200):
+        for max_iters in (1, edge, edge + 1) if edge == _FIRST_BLOCK else (edge, edge + 1):
+            for method, R in ((PG, 2), (NAG, 2), (ADMM, 4)):
+                test = example(method=method, seed=None, R=R, scale=None, max_iters=max_iters, tol=1e-14,
+                               rho=0.05, step=None)(test)
+    return test
+
+
 def assert_kkt(sys, w, tol=1e-9):
     prob = reduce_problem(sys)
     a = skew_coordinates(w)
@@ -346,6 +370,31 @@ class TestADMM:
                                    start=(a_star, a_star.copy(), np.zeros_like(a_star)))
         assert np.linalg.norm(w_final - w_star) <= 1e-9
 
+    @PROPERTY
+    @given(seed=st.none() | st.integers(0, 2**32 - 1), R=st.integers(1, 4), max_iters=st.none() | st.integers(1, 300),
+           tol=st.floats(-14.0, -2.0).map(lambda e: 10.0**e), rho=st.floats(0.01, 5.0))
+    @example(seed=None, R=1, max_iters=None, tol=1e-12, rho=0.05)
+    @example(seed=None, R=2, max_iters=None, tol=1e-12, rho=0.05)
+    def test_iterates_formed_past_the_stop(self, training_set, seed, R, max_iters, tol, rho):
+        """A solve that stops after k iterations forms at most 2k + 4 iterates
+        below 64 and k + 64 above, and none past its cap. On the default
+        data at R <= 2 ADMM stops after 4 to 7 iterations."""
+        sys_ = assemble_regression(training_set, R=R) if seed is None else random_system(seed, R)
+        linalg_solve, formed = np.linalg.solve, []
+
+        def counted(*args):
+            formed.append(None)
+            return linalg_solve(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "solve", counted)
+            rep = solve_admm(sys_, build_skew_constraints(R), SolverOptions(max_iters=max_iters, tol=tol, rho=rho))
+        k = rep.iterations
+        if rep.stop_reason == "max_iters":
+            assert len(formed) == k
+        else:
+            assert k <= len(formed) <= (2 * k + 4 if k < 64 else k + 64)
+
     def test_agreement_on_random_qps(self, rng):
         for _ in range(10):
             A = rng.normal(size=(30, 5))
@@ -446,6 +495,15 @@ class TestReducedMatchesFullSpace:
 
 class TestMatchesLoop:
     @settings(max_examples=60, deadline=None)
+    @at_block_edges
+    # stops inside a block: PG after 24 and 396 iterations, NAG after 82, ADMM after 7
+    @example(method=PG, seed=0, R=2, scale=None, max_iters=None, tol=1e-4, rho=0.05, step=None)
+    @example(method=PG, seed=None, R=1, scale=None, max_iters=None, tol=1e-12, rho=0.05, step=None)
+    @example(method=NAG, seed=1, R=2, scale=None, max_iters=None, tol=1e-8, rho=0.05, step=None)
+    @example(method=ADMM, seed=None, R=2, scale=None, max_iters=None, tol=1e-12, rho=0.05, step=None)
+    # an unboxed overflow, raised at the same iteration (10, inside a block)
+    @example(method=PG, seed=None, R=1, scale=math.inf, max_iters=200, tol=1e-12, rho=0.05, step=1e12)
+    @example(method=NAG, seed=None, R=1, scale=math.inf, max_iters=200, tol=1e-12, rho=0.05, step=1e12)
     @given(method=st.sampled_from([PG, NAG, ADMM]), seed=st.none() | st.integers(0, 2**32 - 1), R=st.integers(1, 5),
            scale=st.sampled_from([None, 0.3, 0.9, 2.0]), max_iters=st.none() | st.integers(1, 600),
            tol=st.floats(-14.0, -2.0).map(lambda e: 10.0**e), rho=st.floats(0.01, 5.0),
@@ -464,6 +522,25 @@ class TestMatchesLoop:
         else:
             sys_ = random_system(seed, R, box_scale=scale)
         assert_matches_loop(method, sys_, SolverOptions(max_iters=max_iters, tol=tol, rho=rho, step=step))
+
+
+class TestStackedForms:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), R=st.integers(1, 10), rows=st.integers(1, 80),
+           exponents=st.tuples(*[st.floats(-3.0, 8.0)] * 3))
+    def test_rows_keep_their_bits(self, seed, R, rows, exponents):
+        """The whole-block forms the solvers' driver measures iterates with
+        equal the per-row H @ a, a @ b and g @ a bit for bit (A @ H.T and
+        einsum round differently), and H.dot(a) equals H @ a."""
+        rng = np.random.default_rng(seed)
+        h, x, y = (10.0**e for e in exponents)
+        H, g = rng.normal(size=(R, R)) * h, rng.normal(size=R) * h
+        A, B = rng.normal(size=(rows, R)) * x, rng.normal(size=(rows, R)) * y
+        HA = np.array([H @ a for a in A])
+        assert _matvecs(H, A).tobytes() == HA.tobytes()
+        assert np.array([H.dot(a) for a in A]).tobytes() == HA.tobytes()
+        assert np.vecdot(A, B).tobytes() == np.array([a @ b for a, b in zip(A, B)]).tobytes()
+        assert np.vecdot(g, A).tobytes() == np.array([g @ a for a in A]).tobytes()
 
 
 class TestFeasibilityAcrossMethods:
@@ -510,6 +587,14 @@ class TestReportsAndDispatch:
         }
         assert solver_reports[NAG].iterations == SolverOptions().resolve_max_iters(NAG)
 
+    @pytest.mark.parametrize("method", [PG, NAG, ADMM])
+    def test_nonfinite_objective_at_the_stop_raises(self, method):
+        """With b = 0 the first iterate is 0 and passes the stopping test, but
+        an overflowed b^T b makes its objective infinite: the objective is
+        checked first, so the solve raises at iteration 1."""
+        overflowed = RegressionSystem(gram=np.eye(3), atb=np.zeros(3), btb=np.inf, rows=1, lam=0.0, M=1.0)
+        assert assert_matches_loop(method, overflowed, SolverOptions()) == 1
+
     def test_dispatch_aliases(self, system_r1, constraints_r1):
         rep = solve("ref", system_r1, constraints_r1)
         assert rep.method == REFERENCE
@@ -522,8 +607,10 @@ class TestReportsAndDispatch:
             solve(method, system_r1, build_skew_constraints(2))
 
     def test_option_validation(self):
-        with pytest.raises(ValueError):
-            SolverOptions(max_iters=0)
+        for max_iters in (0, 2.5, 3.0, True):
+            with pytest.raises(ValueError, match="max_iters"):
+                SolverOptions(max_iters=max_iters)
+        assert SolverOptions(max_iters=np.int64(3)).resolve_max_iters(PG) == 3
         with pytest.raises(ValueError):
             SolverOptions(tol=0.0)
         with pytest.raises(ValueError):
