@@ -4,7 +4,6 @@
     stencil-lab learn       learn a stencil from (generated or saved) data
     stencil-lab simulate    Crank-Nicolson run for a saved stencil
     stencil-lab dispersion  symbol and CN dispersion curves for a stencil
-    stencil-lab converge    re-learn per resolution and tabulate errors
     stencil-lab experiment  scripted presets (table1, convergence, energy,
                             dispersion, nonstandard, noisy, solver-bench)
 
@@ -15,10 +14,10 @@ A config file's keys are the subcommand's long option names with `_`
 a flag beats the file and the file beats the built-in default. The
 `experiment` config file instead holds ExperimentConfig fields, nested as
 in a preset manifest's `config`, and --seed, --sigma (training.noise_std)
-and --radius are merged onto it (--radius is an error on nonstandard). Every
-subcommand writes manifest.json (subcommand or preset, version, seed,
-resolved settings, outputs, solver stop reasons) and warns on stderr about
-each solve stopped at its iteration cap.
+and --radius are merged onto it; a setting the preset does not read is a
+configuration error. Every subcommand writes manifest.json (subcommand or
+preset, version, seed, resolved settings, outputs, solver stop reasons) and
+warns on stderr about each solve stopped at its iteration cap.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error
 (including an unknown config key).
@@ -36,7 +35,7 @@ import numpy as np
 
 from .analysis import cfl_bound, max_wave_speed
 from .core import Grid1D, NumericalError, Stencil, load_stencil, save_stencil
-from .experiments import DEFAULT_SEED, EXPERIMENT_NAMES, ExperimentConfig, RunDir, merge, run_convergence, run_experiment
+from .experiments import DEFAULT_SEED, EXPERIMENT_NAMES, ExperimentConfig, RunDir, merge, run_experiment
 from .experiments import DISPERSION_SAMPLES, dispersion_csvs, simulate_csvs
 from .regression import assemble_regression, build_skew_constraints, check_penalties
 from .simulate import SimConfig
@@ -92,15 +91,14 @@ def _options(args) -> dict:
 
 def _file_value(action: argparse.Action, value):
     """A config-file value converted as its option's command-line text
-    would be: numbers by their text, lists as comma lists, null only where
-    the option defaults to unset."""
+    would be: numbers by their text, null only where the option defaults to
+    unset."""
     if value is None and action.default is None:
         return None
-    if isinstance(value, (str, int, float, list)):
-        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    if isinstance(value, (str, int, float)):
         try:
-            converted = action.type(text) if action.type is not None else text
-        except (ValueError, argparse.ArgumentTypeError):
+            converted = (action.type or str)(str(value))
+        except ValueError:
             pass
         else:
             if action.choices is None or converted in action.choices:
@@ -163,12 +161,18 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_learn(args) -> int:
-    run = _run_dir(args)
     # the settings are checked before the data is loaded or generated
     opts = _solver_options(args)
     constraints = build_skew_constraints(args.radius)
     check_penalties(args.lam, args.box)
-    ts = load_training_set(args.data) if args.data is not None else generate_training_set(_training_config(args))
+    if args.data is None:
+        ts = generate_training_set(_training_config(args))
+    else:  # the manifest records the loaded set's training settings, not the flags'
+        ts = load_training_set(args.data)
+        c = ts.config
+        vars(args).update(seed=c.seed, n_sims=c.n_sims, m_max=c.m_max, grid_n=c.grid.N, length=c.grid.L,
+                          amplitude_std=c.amplitude_std, sigma=c.noise_std)
+    run = _run_dir(args)
     system = assemble_regression(ts, R=args.radius, lam=args.lam, M=args.box)
     report = run.record(args.method, solve(args.method, system, constraints, opts))
     stencil = Stencil(w=report.w_final, dx=ts.config.grid.dx)
@@ -213,37 +217,8 @@ def _cmd_dispersion(args) -> int:
     return _announce(run.root, run.finish(report))
 
 
-def _resolutions(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got '{text}'") from None
-
-
-def _cmd_converge(args) -> int:
-    cfg = ExperimentConfig(
-        name="convergence",
-        training=_training_config(args),
-        radius=args.radius,
-        lam=args.lam,
-        box_bound=args.box,
-        solver_opts=_solver_options(args),
-        resolutions=args.resolutions,
-        t_final=args.t_final,
-        dt_ratio=args.dt_ratio,
-        output_dir=args.out,
-    )
-    report = run_convergence(cfg)
-    for row in report["rows"]:
-        order = "--" if row["order"] is None else f"{row['order']:.2f}"
-        print(f"N={row['N_x']:5d}  dx={row['dx']:.6g}  err={row['error']:.6g}  order={order}")
-    return _announce(args.out, _read_manifest(args.out))
-
-
 def _cmd_experiment(args) -> int:
     name = args.name.replace("-", "_")
-    if args.radius is not None and name == "nonstandard":
-        raise ValueError("--radius does not apply to nonstandard, which learns its radius-2 target operator")
     flags = {key: value for key, value in {"output_dir": args.out, "radius": args.radius}.items() if value is not None}
     training = {key: value for key, value in {"seed": args.seed, "noise_std": args.sigma}.items() if value is not None}
     cfg = merge(ExperimentConfig.from_dict({**_load_config(args.config), "name": name}), {**flags, "training": training})
@@ -292,14 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--dt-ratio", type=float, default=0.5)
     p.add_argument("--samples", type=int, default=DISPERSION_SAMPLES, help="theta samples in (0, pi] (default %(default)s)")
-
-    p = _subcommand(sub, "converge", _cmd_converge, "per-resolution learning and error table")
-    _add_global_flags(p)
-    _add_training_flags(p)
-    _add_solver_flags(p)
-    p.add_argument("--resolutions", type=_resolutions, default="64,128,256,512", help="comma list (default 64,128,256,512)")
-    p.add_argument("--t-final", type=float, default=10.0, help="final time (default 10)")
-    p.add_argument("--dt-ratio", type=float, default=0.2, help="dt/dx (default 0.2)")
 
     p = _subcommand(sub, "experiment", _cmd_experiment, "run a scripted preset")
     _add_global_flags(p)

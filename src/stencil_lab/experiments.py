@@ -88,10 +88,17 @@ def merge(base, changes: dict):
     rejected, and so is a value that does not fit its field's type. An
     int given for a float field is stored as a float, as the defaults are.
     Raises ValueError naming every unknown key by its dotted path (e.g.
-    training.grid.M)."""
+    training.grid.M). On an ExperimentConfig it also rejects a new name
+    and every setting the preset does not read."""
     unknown = _unknown_keys(base, changes)
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    if isinstance(base, ExperimentConfig):
+        if changes.get("name", base.name) != base.name:
+            raise ValueError(f"cannot rename experiment {base.name} to {changes['name']}; build the config from the new name")
+        unread = [key for key in changes if key not in base.settings()]
+        if unread:
+            raise ValueError(f"experiment {base.name} does not read setting(s): {', '.join(unread)}")
     hints = get_type_hints(type(base))
     updates = {}
     for key, value in changes.items():
@@ -104,47 +111,55 @@ def merge(base, changes: dict):
     return replace(base, **updates)
 
 
-# the defaults that differ by preset, over radius 1, dt_ratio 0.5 and clean
-# data; noisy's noise_std is tuned so the unconstrained stencil blows up by
-# many orders of magnitude while everything stays float-finite
-_PRESET_DEFAULTS = {"convergence": {"dt_ratio": 0.2}, "noisy": {"radius": 3, "noise_std": 0.05}}
+# the fields every preset reads; PRESETS names the other settings each one reads
+_COMMON_SETTINGS = ("name", "training", "lam", "box_bound", "solver_opts", "output_dir")
 
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     name: str
-    training: TrainingConfig | None = None  # None, here and for radius and dt_ratio: the preset's default
+    # None, here and below: unset. A setting the preset reads then takes its
+    # default from PRESETS, and one it does not read stays None. Each
+    # annotation is the type `merge` takes; only radius and dt_ratio also
+    # take null (the preset's default) from a config file.
+    training: TrainingConfig | None = None
     radius: int | None = None
     lam: float = 1e-6
     box_bound: float = 100.0
     solver_opts: SolverOptions = field(default_factory=SolverOptions)
     dt_ratio: float | None = None
-    n_steps: int = 300
-    snapshot_every: int = 5
+    n_steps: int = None
+    snapshot_every: int = None
     # convergence study
-    resolutions: tuple[int, ...] = (64, 128, 256, 512)
-    t_final: float = 10.0
+    resolutions: tuple[int, ...] = None
+    t_final: float = None
     output_dir: Path = Path("stencil-lab-out")
 
     def __post_init__(self):
-        if self.name not in EXPERIMENT_NAMES:
+        if self.name not in PRESETS:
             raise ValueError(f"unknown experiment '{self.name}', choose from {EXPERIMENT_NAMES}")
-        preset = {"radius": 1, "dt_ratio": 0.5, "noise_std": 0.0, **_PRESET_DEFAULTS.get(self.name, {})}
-        preset["training"] = replace(default_training_config(), noise_std=preset.pop("noise_std"))
-        for key, value in preset.items():
+        for key, value in {"training": default_training_config(), **PRESETS[self.name][1]}.items():
             if getattr(self, key) is None:
                 object.__setattr__(self, key, value)
-        object.__setattr__(self, "resolutions", tuple(self.resolutions))
+        if self.resolutions is not None:
+            object.__setattr__(self, "resolutions", tuple(self.resolutions))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
+    def settings(self) -> tuple[str, ...]:
+        """The fields this preset reads, name included."""
+        return (*_COMMON_SETTINGS, *PRESETS[self.name][1])
+
     def to_dict(self) -> dict:
-        """Plain-JSON form; nested configs become nested dicts."""
-        return json.loads(json.dumps(asdict(self), default=str))
+        """Plain-JSON form of the settings the preset reads; nested configs
+        become nested dicts."""
+        data = {key: value for key, value in asdict(self).items() if key in self.settings()}
+        return json.loads(json.dumps(data, default=str))
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """Inverse of to_dict: `data` merged onto the defaults, so missing
-        keys keep their defaults and unknown keys raise ValueError."""
+        keys keep their defaults, and unknown keys and settings the preset
+        does not read raise ValueError."""
         return merge(cls(name=data.get("name")), data)
 
     def sim_config(self, stencil: Stencil, dt_ratio: float | None = None) -> SimConfig:
@@ -524,18 +539,23 @@ def run_solver_bench(cfg: ExperimentConfig) -> dict:
     return report
 
 
-_RUNNERS = {
-    "table1": run_table1,
-    "convergence": run_convergence,
-    "energy": run_energy,
-    "dispersion": run_dispersion,
-    "nonstandard": run_nonstandard,
-    "noisy": run_noisy,
-    "solver_bench": run_solver_bench,
+# Each preset's runner, and the settings it reads besides _COMMON_SETTINGS,
+# with their defaults. noisy also trains on noisy data: its noise_std is
+# tuned so the unconstrained stencil blows up by many orders of magnitude
+# while everything stays float-finite.
+PRESETS = {
+    "table1": (run_table1, {"radius": 1, "dt_ratio": 0.5, "n_steps": 300}),
+    "convergence": (run_convergence, {"radius": 1, "dt_ratio": 0.2, "resolutions": (64, 128, 256, 512), "t_final": 10.0}),
+    "energy": (run_energy, {"radius": 1, "dt_ratio": 0.5, "n_steps": 300}),
+    "dispersion": (run_dispersion, {"radius": 1, "dt_ratio": 0.5}),
+    "nonstandard": (run_nonstandard, {"dt_ratio": 0.5, "n_steps": 300}),
+    "noisy": (run_noisy, {"training": replace(default_training_config(), noise_std=0.05),
+                          "radius": 3, "dt_ratio": 0.5, "n_steps": 300, "snapshot_every": 5}),
+    "solver_bench": (run_solver_bench, {"radius": 1}),
 }
 
-EXPERIMENT_NAMES = tuple(_RUNNERS)
+EXPERIMENT_NAMES = tuple(PRESETS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    return _RUNNERS[cfg.name](cfg)
+    return PRESETS[cfg.name][0](cfg)

@@ -1,13 +1,18 @@
 import csv
 import json
+import re
+import shlex
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stencil_lab import cli
+from stencil_lab import cli, experiments
 from stencil_lab.core import Grid1D, Stencil, centered_difference_stencil, save_stencil
+from stencil_lab.experiments import EXPERIMENT_NAMES, ExperimentConfig, run_convergence
 from stencil_lab.training import TrainingConfig, generate_training_set, save_training_set
 
 
@@ -80,11 +85,9 @@ class TestPipeline:
         assert report["max_amplification_error"] <= 1e-13
         assert report["cfl_bound"] == pytest.approx(2.0 / report["c_max"])
 
-    def test_converge_small(self, workdir):
-        proc = run_cli(
-            "converge", "--out", str(workdir / "conv"),
-            "--resolutions", "32,64", "--t-final", "1", "--n-sims", "40",
-        )
+    def test_converge_small(self, workdir, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"resolutions": [32, 64], "t_final": 1, "training": {"n_sims": 40}}))
+        proc = run_cli("experiment", "convergence", "--config", str(tmp_path / "cfg.json"), "--out", str(workdir / "conv"))
         assert proc.returncode == 0, proc.stderr
         with open(workdir / "conv" / "convergence.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -116,6 +119,19 @@ class TestPipeline:
         gen = json.loads((workdir / "manifest.json").read_text())
         assert (gen["seed"], gen["config"]["n_sims"]) == (9, 40)
 
+    def test_learn_records_the_settings_of_its_data_file(self, workdir):
+        # the training flags do not apply to a loaded set, so the manifest takes the file's
+        proc = run_cli("learn", "--method", "admm", "--data", str(workdir / "training_data.npz"), "--grid-n", "128",
+                       "--n-sims", "7", "--sigma", "0.3", "--seed", "99", "--out", str(workdir / "learned_file"))
+        assert proc.returncode == 0, proc.stderr
+        manifest = json.loads((workdir / "learned_file" / "manifest.json").read_text())
+        config = manifest["config"]
+        recorded = (manifest["seed"], config["seed"], config["n_sims"], config["m_max"], config["grid_n"], config["length"],
+                    config["amplitude_std"], config["sigma"])
+        with np.load(workdir / "training_data.npz") as data:
+            held = tuple(data[key].item() for key in ("seed", "seed", "n_sims", "m_max", "N", "L", "amplitude_std", "sigma"))
+        assert recorded == held == (9, 9, 40, 5, 64, 1.0, 1.0, 0.0)
+
 
 class TestConfigFile:
     def test_config_overrides(self, tmp_path):
@@ -141,7 +157,6 @@ class TestConfigFile:
         ("learn", "--method", "admm"),
         ("simulate", "--stencil", "s.json"),
         ("dispersion", "--stencil", "s.json"),
-        ("converge",),
     ])
     def test_unknown_key_is_two(self, tmp_path, argv):
         (tmp_path / "cfg.json").write_text(json.dumps({"nsims": 12, "steps": 3, "foo": 1}))
@@ -166,11 +181,15 @@ class TestConfigFile:
         assert not (tmp_path / "out").exists()
 
     def test_file_values_take_the_command_line_forms(self, tmp_path):
-        (tmp_path / "cfg.json").write_text(json.dumps({"resolutions": [16, 32], "t_final": 1, "max_iters": None}))
-        proc = run_cli("converge", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path))
+        (tmp_path / "cfg.json").write_text(json.dumps({"resolutions": [16, 32], "t_final": 1}))
+        proc = run_cli("experiment", "convergence", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "conv"))
         assert proc.returncode == 0, proc.stderr
-        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        config = json.loads((tmp_path / "conv" / "manifest.json").read_text())["config"]
         assert (config["resolutions"], config["t_final"]) == ([16, 32], 1.0)
+        (tmp_path / "learn.json").write_text(json.dumps({"max_iters": None, "n_sims": 10}))
+        proc = run_cli("learn", "--method", "admm", "--config", str(tmp_path / "learn.json"), "--out", str(tmp_path / "learn"))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "learn" / "manifest.json").read_text())["config"]["max_iters"] is None
 
     def test_file_value_outside_choices_is_two(self, tmp_path):
         save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
@@ -405,19 +424,25 @@ class TestExitCodes:
         assert proc.stderr.strip() == f"error: {message}"
         assert not (tmp_path / "out" / "report.json").exists()
 
-    @pytest.mark.parametrize("argv, message", [
-        (["learn", "--method", "admm", "--n-sims", "10", "--tol", "nan"], "tol must be positive and finite, got nan"),
-        (["learn", "--method", "admm", "--n-sims", "10", "--lam", "nan"], "lam must be nonnegative and finite, got nan"),
-        (["learn", "--method", "admm", "--n-sims", "10", "--box", "nan"], "box bound M must be positive, got nan"),
-        (["learn", "--method", "admm", "--n-sims", "10", "--rho", "inf"], "ADMM penalty rho must be positive and finite, got inf"),
-        (["simulate", "--stencil", "s.json", "--length", "inf"], "length must be positive and finite, got inf"),
-        (["simulate", "--stencil", "s.json", "--length", "nan"], "length must be positive and finite, got nan"),
-        (["converge", "--n-sims", "10", "--t-final", "nan"], "final time T must be positive and finite, got nan"),
-        (["converge", "--n-sims", "10", "--dt-ratio", "inf"], "dt_ratio must be positive and finite, got inf"),
+    # cfg.json holds the config, where given; json writes NaN and Infinity as those bare tokens
+    @pytest.mark.parametrize("argv, config, message", [
+        (["learn", "--method", "admm", "--n-sims", "10", "--tol", "nan"], None, "tol must be positive and finite, got nan"),
+        (["learn", "--method", "admm", "--n-sims", "10", "--lam", "nan"], None, "lam must be nonnegative and finite, got nan"),
+        (["learn", "--method", "admm", "--n-sims", "10", "--box", "nan"], None, "box bound M must be positive, got nan"),
+        (["learn", "--method", "admm", "--n-sims", "10", "--rho", "inf"], None,
+         "ADMM penalty rho must be positive and finite, got inf"),
+        (["simulate", "--stencil", "s.json", "--length", "inf"], None, "length must be positive and finite, got inf"),
+        (["simulate", "--stencil", "s.json", "--length", "nan"], None, "length must be positive and finite, got nan"),
+        (["experiment", "convergence", "--config", "cfg.json"], {"training": {"n_sims": 10}, "t_final": float("nan")},
+         "final time T must be positive and finite, got nan"),
+        (["experiment", "convergence", "--config", "cfg.json"], {"training": {"n_sims": 10}, "dt_ratio": float("inf")},
+         "dt_ratio must be positive and finite, got inf"),
     ], ids=["tol-nan", "lam-nan", "box-nan", "rho-inf", "length-inf", "length-nan", "t-final-nan", "dt-ratio-inf"])
-    def test_non_finite_setting_is_two(self, tmp_path, argv, message):
+    def test_non_finite_setting_is_two(self, tmp_path, argv, config, message):
         save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
-        argv = [str(tmp_path / arg) if arg == "s.json" else arg for arg in argv]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [str(tmp_path / arg) if arg in ("s.json", "cfg.json") else arg for arg in argv]
         proc = run_cli(*argv, "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert proc.stderr.strip() == f"error: {message}"
@@ -439,7 +464,8 @@ class TestExitCodes:
 
     def test_convergence_config_error_is_two(self, tmp_path):
         # m_max=5 is not resolved on the N=8 grid
-        proc = run_cli("converge", "--resolutions", "8,16", "--t-final", "1", "--out", str(tmp_path))
+        (tmp_path / "cfg.json").write_text(json.dumps({"resolutions": [8, 16], "t_final": 1}))
+        proc = run_cli("experiment", "convergence", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path))
         assert proc.returncode == 2
         assert proc.stderr.strip().splitlines() == [proc.stderr.strip()]
         assert proc.stderr.startswith("error: m_max must satisfy 1 <= m_max < N/2")
@@ -456,6 +482,19 @@ class TestExitCodes:
         proc = run_cli("experiment", "table1", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path))
         assert proc.returncode == 2
         assert proc.stderr.strip() == "error: unknown config key(s): foo"
+
+
+# a value of the right type for each setting some preset does not read
+_SAMPLE_VALUES = {"radius": 2, "dt_ratio": 0.3, "n_steps": 10, "snapshot_every": 2, "resolutions": [32, 64], "t_final": 1.0}
+
+# one config-file case per (preset, setting) pair the preset does not read
+_UNREAD_SETTINGS = [
+    pytest.param([name.replace("_", "-")], {key: _SAMPLE_VALUES[key]}, f"experiment {name} does not read setting(s): {key}",
+                 id=f"file-{name}-{key}")
+    for name in EXPERIMENT_NAMES
+    for key in (f.name for f in fields(ExperimentConfig))
+    if key not in ExperimentConfig(name=name).settings()
+]
 
 
 class TestExperimentFlags:
@@ -481,13 +520,13 @@ class TestExperimentFlags:
         assert json.loads((tmp_path / "manifest.json").read_text())["config"]["training"]["noise_std"] == 0.3
 
     def test_convergence_reads_dt_ratio(self, tmp_path):
-        # the preset with a config-file dt_ratio matches `converge --dt-ratio`
+        # the preset with a config-file dt_ratio matches the runner called at that dt_ratio
         (tmp_path / "cfg.json").write_text(json.dumps({"dt_ratio": 0.1, "resolutions": [32, 64], "t_final": 1}))
         proc = run_cli("experiment", "convergence", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "exp"))
         assert proc.returncode == 0, proc.stderr
-        proc = run_cli("converge", "--resolutions", "32,64", "--t-final", "1", "--dt-ratio", "0.1", "--out", str(tmp_path / "cmd"))
-        assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "exp" / "convergence.csv").read_bytes() == (tmp_path / "cmd" / "convergence.csv").read_bytes()
+        run_convergence(ExperimentConfig(name="convergence", dt_ratio=0.1, resolutions=(32, 64), t_final=1.0,
+                                         output_dir=tmp_path / "lib"))
+        assert (tmp_path / "exp" / "convergence.csv").read_bytes() == (tmp_path / "lib" / "convergence.csv").read_bytes()
         assert json.loads((tmp_path / "exp" / "manifest.json").read_text())["config"]["dt_ratio"] == 0.1
 
     # keys of older manifests: each preset default now lives in its plain field
@@ -501,14 +540,22 @@ class TestExperimentFlags:
         assert proc.stderr.strip() == f"error: unknown config key(s): {key}"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("argv, message", [
-        (["nonstandard", "--radius", "4"],
-         "--radius does not apply to nonstandard, which learns its radius-2 target operator"),
-    ], ids=["nonstandard-radius"])
-    def test_flag_the_preset_does_not_read_is_two(self, tmp_path, argv, message):
-        proc = run_cli("experiment", *argv, "--out", str(tmp_path / "out"))
-        assert proc.returncode == 2
-        assert proc.stderr.strip() == f"error: {message}"
+    @pytest.mark.parametrize("argv, config, message", [
+        pytest.param(["nonstandard", "--radius", "4"], None, "experiment nonstandard does not read setting(s): radius",
+                     id="nonstandard-radius"),
+        *_UNREAD_SETTINGS,
+    ])
+    def test_flag_the_preset_does_not_read_is_two(self, tmp_path, monkeypatch, capsys, argv, config, message):
+        def generate(*args):
+            raise AssertionError("the preset generated training data before checking its settings")
+
+        for name in ("generate_training_set", "generate_operator_training_set"):
+            monkeypatch.setattr(experiments, name, generate)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+        assert cli.main(["experiment", *argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -550,3 +597,17 @@ class TestOutputDirectory:
         assert capsys.readouterr().err.strip() == f"error: {message}"
         assert calls == []
         assert not (tmp_path / "o").exists()
+
+
+def test_readme_commands_parse():
+    """Every `stencil-lab ...` line of README's sh blocks, continuations
+    joined, parses."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.MULTILINE | re.DOTALL)
+    commands = [line for line in "\n".join(blocks).replace("\\\n", " ").splitlines() if line.startswith("stencil-lab ")]
+    assert len(commands) >= 6
+    for line in commands:
+        try:
+            cli.build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

@@ -15,6 +15,7 @@ from stencil_lab.core import Stencil, centered_difference_stencil
 from stencil_lab.experiments import (
     DEFAULT_SEED,
     EXPERIMENT_NAMES,
+    PRESETS,
     ExperimentConfig,
     RunDir,
     default_training_config,
@@ -282,8 +283,7 @@ def _finite(lo, hi):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
-_config_data = st.fixed_dictionaries({
-    "name": st.sampled_from(EXPERIMENT_NAMES),
+_common_data = {
     "training": st.fixed_dictionaries({
         "n_sims": st.integers(1, 10_000),
         "m_max": st.integers(1, 5),
@@ -292,7 +292,6 @@ _config_data = st.fixed_dictionaries({
         "amplitude_std": _finite(1e-6, 1e3),
         "noise_std": _finite(0.0, 1e3),
     }),
-    "radius": st.none() | st.integers(1, 8),
     "lam": _finite(0.0, 1.0),
     "box_bound": _finite(1e-3, 1e9),
     "solver_opts": st.fixed_dictionaries({
@@ -301,12 +300,22 @@ _config_data = st.fixed_dictionaries({
         "rho": _finite(1e-6, 1e3),
         "step": st.none() | _finite(1e-9, 1e3),
     }),
+    "output_dir": st.text("ab_-/.", min_size=1, max_size=12),
+}
+_preset_data = {
+    "radius": st.none() | st.integers(1, 8),
     "dt_ratio": st.none() | _finite(1e-3, 10.0),
     "n_steps": st.integers(0, 10_000),
+    "snapshot_every": st.integers(1, 100),
     "resolutions": st.lists(st.integers(3, 4096), max_size=5),
     "t_final": _finite(1e-3, 1e3),
-    "output_dir": st.text("ab_-/.", min_size=1, max_size=12),
-})
+}
+# a preset's name with its common settings and the others it reads
+_config_data = st.sampled_from(EXPERIMENT_NAMES).flatmap(lambda name: st.fixed_dictionaries({
+    "name": st.just(name),
+    **_common_data,
+    **{key: _preset_data[key] for key in PRESETS[name][1] if key != "training"},
+}))
 
 
 class TestConfig:
@@ -317,10 +326,13 @@ class TestConfig:
         clone = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert asdict(clone) == asdict(cfg)
         assert clone.training.grid.N == data["training"]["grid"]["N"]
-        assert clone.resolutions == tuple(data["resolutions"])
+        if data["name"] == "convergence":
+            assert clone.resolutions == tuple(data["resolutions"])
+        assert set(cfg.to_dict()) == set(data)
 
     # (radius, dt_ratio, training.noise_std) each preset runs with by default;
-    # nonstandard learns its radius-2 target and does not read radius
+    # a setting the preset does not read stays None: nonstandard learns its
+    # radius-2 target, and solver_bench simulates nothing
     @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
     def test_preset_defaults(self, name):
         expected = {
@@ -328,13 +340,14 @@ class TestConfig:
             "convergence": (1, 0.2, 0.0),
             "energy": (1, 0.5, 0.0),
             "dispersion": (1, 0.5, 0.0),
-            "nonstandard": (1, 0.5, 0.0),
+            "nonstandard": (None, 0.5, 0.0),
             "noisy": (3, 0.5, 0.05),
-            "solver_bench": (1, 0.5, 0.0),
+            "solver_bench": (1, None, 0.0),
         }[name]
         cfg = ExperimentConfig(name=name)
         assert (cfg.radius, cfg.dt_ratio, cfg.training.noise_std) == expected
-        assert ExperimentConfig.from_dict({"name": name, "radius": None, "dt_ratio": None}).to_dict() == cfg.to_dict()
+        unset = {key: None for key in ("radius", "dt_ratio") if key in cfg.settings()}
+        assert ExperimentConfig.from_dict({"name": name, **unset}).to_dict() == cfg.to_dict()
 
     def test_merge_keeps_nested_defaults(self):
         cfg = merge(ExperimentConfig(name="table1"), {"training": {"grid": {"N": 128}}, "radius": 2})
@@ -369,7 +382,7 @@ class TestConfig:
 
     def test_merge_accepts_json_forms_of_field_types(self):
         changes = {"lam": 1, "resolutions": [32, 64], "output_dir": "out", "solver_opts": {"max_iters": None, "step": 2}}
-        cfg = merge(ExperimentConfig(name="table1"), changes)
+        cfg = merge(ExperimentConfig(name="convergence"), changes)
         assert (cfg.lam, cfg.resolutions, cfg.output_dir) == (1, (32, 64), Path("out"))
         assert (cfg.solver_opts.max_iters, cfg.solver_opts.step) == (None, 2)
         # an int given for a float (or float | None) field is stored as a float
@@ -382,6 +395,12 @@ class TestConfig:
         data["solver_opts"]["enforce_box"] = False  # recorded by older manifests
         with pytest.raises(ValueError, match="foo, training.bar, solver_opts.enforce_box"):
             ExperimentConfig.from_dict(data)
+
+    def test_merge_refuses_a_new_name(self):
+        # the old preset's resolved defaults would carry over: radius 1 and clean data for noisy
+        with pytest.raises(ValueError, match=r"^cannot rename experiment table1 to noisy; build the config from the new name$"):
+            merge(ExperimentConfig(name="table1"), {"name": "noisy"})
+        assert merge(ExperimentConfig(name="noisy"), {"name": "noisy", "n_steps": 10}).radius == 3
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
