@@ -1,13 +1,16 @@
 """Command-line interface.
 
     stencil-lab gen-data    write a training-data file
-    stencil-lab learn       learn a stencil from (generated or saved) data
+    stencil-lab learn       learn a stencil from a training-data file
     stencil-lab simulate    Crank-Nicolson run for a saved stencil
     stencil-lab dispersion  symbol and CN dispersion curves for a stencil
     stencil-lab experiment  scripted presets (table1, convergence, energy,
                             dispersion, nonstandard, noisy, solver-bench)
 
-Global flags: --config FILE (JSON overrides), --seed, --out DIR.
+Global flags: --config FILE (JSON overrides), --out DIR. Each subcommand
+takes only the settings it reads: --seed belongs to gen-data and
+experiment, learn reads its training data (and so its seed) from --data,
+and simulate runs on --length measured in cells of the stencil's dx.
 
 A config file's keys are the subcommand's long option names with `_`
 (n_sims, grid_n, dt_ratio, ...) and become that subcommand's defaults, so
@@ -16,8 +19,9 @@ a flag beats the file and the file beats the built-in default. The
 in a preset manifest's `config`, and --seed, --sigma (training.noise_std)
 and --radius are merged onto it; a setting the preset does not read is a
 configuration error. Every subcommand writes manifest.json (subcommand or
-preset, version, seed, resolved settings, outputs, solver stop reasons) and
-warns on stderr about each solve stopped at its iteration cap.
+preset, version, the seed of its training data where it has any, resolved
+settings, outputs, solver stop reasons) and warns on stderr about each
+solve stopped at its iteration cap.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error
 (including an unknown config key).
@@ -28,7 +32,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import isfinite
+from dataclasses import asdict
+from math import isclose, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +51,11 @@ from .training import TrainingConfig, generate_training_set, load_training_set, 
 _NOT_OPTIONS = ("command", "config", "func", "parser")
 
 # options without a default, which the flag or the config file must give
-_REQUIRED = ("method", "stencil")
+_REQUIRED = ("method", "stencil", "data")
 
 
 def _add_global_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="JSON file with option overrides")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"PRNG seed (default {DEFAULT_SEED})")
     parser.add_argument("--out", type=Path, default="stencil-lab-out", help="output directory (default ./stencil-lab-out)")
 
 
@@ -117,23 +121,8 @@ def _config_defaults(args) -> dict:
     return {key: _file_value(actions[key], value) for key, value in config.items()}
 
 
-def _training_config(args) -> TrainingConfig:
-    return TrainingConfig(
-        n_sims=args.n_sims,
-        m_max=args.m_max,
-        grid=Grid1D(N=args.grid_n, L=args.length),
-        seed=args.seed,
-        amplitude_std=args.amplitude_std,
-        noise_std=args.sigma,
-    )
-
-
-def _solver_options(args) -> SolverOptions:
-    return SolverOptions(max_iters=args.max_iters, tol=args.tol, rho=args.rho)
-
-
-def _run_dir(args) -> RunDir:
-    return RunDir(args.out, command=args.command, seed=args.seed, config=_options(args))
+def _run_dir(args, **header) -> RunDir:
+    return RunDir(args.out, command=args.command, **header, config=_options(args))
 
 
 def _warn_capped(solves: dict) -> None:
@@ -153,26 +142,21 @@ def _read_manifest(root: Path) -> dict:
 
 
 def _cmd_gen_data(args) -> int:
-    run = _run_dir(args)
-    cfg = _training_config(args)
+    run = _run_dir(args, seed=args.seed)
+    cfg = TrainingConfig(n_sims=args.n_sims, m_max=args.m_max, grid=Grid1D(N=args.grid_n, L=args.length), seed=args.seed,
+                         amplitude_std=args.amplitude_std, noise_std=args.sigma)
     save_training_set(generate_training_set(cfg), run.path("training_data.npz"))
     print(f"{cfg.n_sims} samples, N={cfg.grid.N}, m_max={cfg.m_max}, sigma={cfg.noise_std}")
     return _announce(run.root, run.finish())
 
 
 def _cmd_learn(args) -> int:
-    # the settings are checked before the data is loaded or generated
-    opts = _solver_options(args)
+    # the settings are checked before the data is loaded
+    opts = SolverOptions(max_iters=args.max_iters, tol=args.tol, rho=args.rho)
     constraints = build_skew_constraints(args.radius)
     check_penalties(args.lam, args.box)
-    if args.data is None:
-        ts = generate_training_set(_training_config(args))
-    else:  # the manifest records the loaded set's training settings, not the flags'
-        ts = load_training_set(args.data)
-        c = ts.config
-        vars(args).update(seed=c.seed, n_sims=c.n_sims, m_max=c.m_max, grid_n=c.grid.N, length=c.grid.L,
-                          amplitude_std=c.amplitude_std, sigma=c.noise_std)
-    run = _run_dir(args)
+    ts = load_training_set(args.data)
+    run = _run_dir(args, seed=ts.config.seed, training=asdict(ts.config))
     system = assemble_regression(ts, R=args.radius, lam=args.lam, M=args.box)
     report = run.record(args.method, solve(args.method, system, constraints, opts))
     stencil = Stencil(w=report.w_final, dx=ts.config.grid.dx)
@@ -192,8 +176,11 @@ def _cmd_simulate(args) -> int:
     stencil = load_stencil(args.stencil)
     if not (isfinite(args.length) and args.length > 0):  # before it divides into a cell count
         raise ValueError(f"length must be positive and finite, got {args.length}")
-    grid = Grid1D(N=args.grid_n if args.grid_n is not None else round(args.length / stencil.dx), L=args.length)
-    dt = args.dt if args.dt is not None else args.dt_ratio * grid.dx
+    n = round(args.length / stencil.dx)
+    if not isclose(n * stencil.dx, args.length, rel_tol=1e-12):
+        raise ValueError(f"length {args.length} is not a whole number of stencil cells (dx={stencil.dx})")
+    grid = Grid1D(N=n, L=args.length)
+    dt = args.dt_ratio * grid.dx
     kinds = ("energy", "final_field", "spacetime") if args.snapshot_every else ("energy", "final_field")
     sim_cfg = SimConfig(dt=dt, n_steps=args.steps, grid=grid, stencil=stencil)
     result = simulate_csvs(run, sim_cfg, kinds, snapshot_every=args.snapshot_every or None, engine=args.engine)
@@ -205,7 +192,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_dispersion(args) -> int:
     run = _run_dir(args)
     stencil = load_stencil(args.stencil)
-    dt = args.dt if args.dt is not None else args.dt_ratio * stencil.dx
+    dt = args.dt_ratio * stencil.dx
     c_max = max_wave_speed(stencil)
     report = {
         "dt": dt,
@@ -230,7 +217,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _subcommand(sub, name: str, func, help: str) -> argparse.ArgumentParser:
-    p = sub.add_parser(name, help=help)
+    # no abbreviations: a removed flag such as --dt must not be read as --dt-ratio
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
     p.set_defaults(func=func, parser=p)
     return p
 
@@ -240,22 +228,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _subcommand(sub, "gen-data", _cmd_gen_data, "generate and save a training set")
+    # --seed before --out keeps the manifest's config in its order
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"PRNG seed (default {DEFAULT_SEED})")
     _add_global_flags(p)
     _add_training_flags(p)
 
     p = _subcommand(sub, "learn", _cmd_learn, "learn a stencil")
     _add_global_flags(p)
-    _add_training_flags(p)
     _add_solver_flags(p)
     p.add_argument("--method", choices=["pg", "nag", "admm", "ref"], help="solver (required, as a flag or a config key)")
-    p.add_argument("--data", type=Path, default=None, help="training-data .npz (generated if omitted)")
+    p.add_argument("--data", type=Path, help="training-data .npz from gen-data (required, as a flag or a config key)")
 
     p = _subcommand(sub, "simulate", _cmd_simulate, "Crank-Nicolson run for a saved stencil")
     _add_global_flags(p)
     p.add_argument("--stencil", type=Path, help="stencil JSON file (required, as a flag or a config key)")
-    p.add_argument("--grid-n", type=int, default=None, help="grid cells (default: from stencil dx)")
-    p.add_argument("--length", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=None, help="explicit time step")
+    p.add_argument("--length", type=float, default=1.0, help="domain length, a whole number of stencil cells (default 1.0)")
     p.add_argument("--dt-ratio", type=float, default=0.5, help="dt as multiple of dx (default 0.5)")
     p.add_argument("--steps", type=int, default=300, help="time steps (default 300)")
     p.add_argument("--snapshot-every", type=int, default=0, help="record E(x,t) every k steps (0 = off)")
@@ -264,13 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(sub, "dispersion", _cmd_dispersion, "symbol and CN dispersion curves")
     _add_global_flags(p)
     p.add_argument("--stencil", type=Path, help="stencil JSON file (required, as a flag or a config key)")
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--dt-ratio", type=float, default=0.5)
+    p.add_argument("--dt-ratio", type=float, default=0.5, help="dt as multiple of dx (default 0.5)")
     p.add_argument("--samples", type=int, default=DISPERSION_SAMPLES, help="theta samples in (0, pi] (default %(default)s)")
 
     p = _subcommand(sub, "experiment", _cmd_experiment, "run a scripted preset")
     _add_global_flags(p)
-    p.set_defaults(seed=None, out=None)  # unset flags leave the file's or the preset's values
+    p.set_defaults(out=None)  # unset flags leave the file's or the preset's values
+    p.add_argument("--seed", type=int, default=None, help="training seed (default: the preset's)")
     p.add_argument("name", choices=[name.replace("_", "-") for name in EXPERIMENT_NAMES])
     p.add_argument("--sigma", type=float, default=None, help="derivative noise std (default: the preset's)")
     p.add_argument("--radius", type=int, default=None, help="learned stencil radius (default: the preset's)")

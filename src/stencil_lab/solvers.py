@@ -73,13 +73,13 @@ class SolverOptions:
     """max_iters=None picks the per-method default (500 for PG/NAG, 100
     for ADMM). tol stops on the iterate change (PG/ADMM) or on the
     projected-gradient mapping (NAG, whose momentum makes raw iterate
-    changes an unreliable stationarity measure). step overrides the
-    default 1/L stepsize."""
+    changes an unreliable stationarity measure). rho is ADMM's penalty.
+    PG and NAG take the step 1/L, from the Lipschitz constant L of the
+    objective's gradient."""
 
     max_iters: int | None = None
     tol: float = 1e-12
     rho: float = 0.05
-    step: float | None = None
 
     def __post_init__(self):
         if self.max_iters is not None and (
@@ -90,8 +90,6 @@ class SolverOptions:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise ValueError(f"ADMM penalty rho must be positive and finite, got {self.rho}")
-        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError(f"step must be positive and finite, got {self.step}")
 
     def resolve_max_iters(self, method: str) -> int:
         return self.max_iters if self.max_iters is not None else _DEFAULT_MAX_ITERS[method]
@@ -131,12 +129,10 @@ def _setup(sys: RegressionSystem, cs: SkewConstraints) -> tuple[ReducedProblem, 
     return reduce_problem(sys), time.perf_counter()
 
 
-def _stepsize(sys: RegressionSystem, opts: SolverOptions) -> float:
+def _stepsize(sys: RegressionSystem) -> float:
     """Half the step alpha on f: alpha/2 on F(a) = f(P a) takes the same
-    steps. The default alpha is 1/L with L = ||A^T A||_2 + lam, the exact
-    Lipschitz constant of grad f."""
-    if opts.step is not None:
-        return 0.5 * opts.step
+    steps. alpha is 1/L with L = ||A^T A||_2 + lam, the exact Lipschitz
+    constant of grad f."""
     lip = float(np.linalg.eigvalsh(sys.gram)[-1] + sys.lam)
     return 0.5 / lip if lip > 0.0 else 0.5
 
@@ -226,7 +222,7 @@ def solve_pg(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = S
     """Projected gradient: a <- clip(a - alpha/2 grad F(a)). Monotone
     descent for alpha <= 1/L; every iterate is feasible by construction."""
     prob, t0 = _setup(sys, cs)
-    step = _stepsize(sys, opts)
+    step = _stepsize(sys)
 
     def iterates():
         H, g, (lo, hi) = prob.H, prob.g, _box(prob)
@@ -246,7 +242,7 @@ def solve_nag(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = 
     t_0 = 1 (the first extrapolation is null). The objective may
     oscillate; stopping uses the projected-gradient mapping."""
     prob, t0 = _setup(sys, cs)
-    step = _stepsize(sys, opts)
+    step = _stepsize(sys)
 
     def iterates():
         H, g, (lo, hi) = prob.H, prob.g, _box(prob)

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from stencil_lab import cli, experiments
-from stencil_lab.core import Grid1D, Stencil, centered_difference_stencil, save_stencil
+from stencil_lab.core import Grid1D, Stencil, centered_difference_stencil, load_stencil, save_stencil
 from stencil_lab.experiments import EXPERIMENT_NAMES, ExperimentConfig, run_convergence
+from stencil_lab.simulate import SimConfig, simulate, single_mode_initial_condition
 from stencil_lab.training import TrainingConfig, generate_training_set, save_training_set
 
 
@@ -28,6 +29,14 @@ def run_cli(*args, cwd=None):
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli")
+
+
+@pytest.fixture(scope="module")
+def data_file(tmp_path_factory):
+    """gen-data's 10-sample default-seed set, for the learn runs outside TestPipeline."""
+    out = tmp_path_factory.mktemp("data")
+    assert cli.main(["gen-data", "--out", str(out), "--n-sims", "10"]) == 0
+    return out / "training_data.npz"
 
 
 class TestPipeline:
@@ -120,17 +129,18 @@ class TestPipeline:
         assert (gen["seed"], gen["config"]["n_sims"]) == (9, 40)
 
     def test_learn_records_the_settings_of_its_data_file(self, workdir):
-        # the training flags do not apply to a loaded set, so the manifest takes the file's
-        proc = run_cli("learn", "--method", "admm", "--data", str(workdir / "training_data.npz"), "--grid-n", "128",
-                       "--n-sims", "7", "--sigma", "0.3", "--seed", "99", "--out", str(workdir / "learned_file"))
-        assert proc.returncode == 0, proc.stderr
-        manifest = json.loads((workdir / "learned_file" / "manifest.json").read_text())
-        config = manifest["config"]
-        recorded = (manifest["seed"], config["seed"], config["n_sims"], config["m_max"], config["grid_n"], config["length"],
-                    config["amplitude_std"], config["sigma"])
+        # the seed and the training settings are the data file's; config holds learn's own options
+        manifest = json.loads((workdir / "learned" / "manifest.json").read_text())
         with np.load(workdir / "training_data.npz") as data:
-            held = tuple(data[key].item() for key in ("seed", "seed", "n_sims", "m_max", "N", "L", "amplitude_std", "sigma"))
-        assert recorded == held == (9, 9, 40, 5, 64, 1.0, 1.0, 0.0)
+            held = {key: data[key].item() for key in ("seed", "n_sims", "m_max", "N", "L", "amplitude_std", "sigma")}
+        assert manifest["seed"] == held["seed"] == 9
+        assert manifest["training"] == {
+            "n_sims": held["n_sims"], "m_max": held["m_max"], "grid": {"N": held["N"], "L": held["L"]},
+            "seed": held["seed"], "amplitude_std": held["amplitude_std"], "noise_std": held["sigma"],
+        } == {"n_sims": 40, "m_max": 5, "grid": {"N": 64, "L": 1.0}, "seed": 9, "amplitude_std": 1.0, "noise_std": 0.0}
+        # the layout of a preset manifest's training entry
+        assert ExperimentConfig(name="table1").to_dict()["training"].keys() == manifest["training"].keys()
+        assert set(manifest["config"]) == {"out", "radius", "lam", "box", "rho", "max_iters", "tol", "method", "data"}
 
 
 class TestConfigFile:
@@ -180,13 +190,13 @@ class TestConfigFile:
         assert proc.stderr.strip() == message
         assert not (tmp_path / "out").exists()
 
-    def test_file_values_take_the_command_line_forms(self, tmp_path):
+    def test_file_values_take_the_command_line_forms(self, tmp_path, data_file):
         (tmp_path / "cfg.json").write_text(json.dumps({"resolutions": [16, 32], "t_final": 1}))
         proc = run_cli("experiment", "convergence", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "conv"))
         assert proc.returncode == 0, proc.stderr
         config = json.loads((tmp_path / "conv" / "manifest.json").read_text())["config"]
         assert (config["resolutions"], config["t_final"]) == ([16, 32], 1.0)
-        (tmp_path / "learn.json").write_text(json.dumps({"max_iters": None, "n_sims": 10}))
+        (tmp_path / "learn.json").write_text(json.dumps({"max_iters": None, "data": str(data_file)}))
         proc = run_cli("learn", "--method", "admm", "--config", str(tmp_path / "learn.json"), "--out", str(tmp_path / "learn"))
         assert proc.returncode == 0, proc.stderr
         assert json.loads((tmp_path / "learn" / "manifest.json").read_text())["config"]["max_iters"] is None
@@ -243,8 +253,8 @@ class TestConfigFile:
         assert run() == (11, 10)
         assert run("--steps", "4") == (5, 4)
 
-    def test_file_gives_method_and_flag_beats_it(self, tmp_path):
-        (tmp_path / "cfg.json").write_text(json.dumps({"method": "nag", "max_iters": 3, "n_sims": 10}))
+    def test_file_gives_method_and_flag_beats_it(self, tmp_path, data_file):
+        (tmp_path / "cfg.json").write_text(json.dumps({"method": "nag", "max_iters": 3, "data": str(data_file)}))
 
         def solves(*flags):
             out = tmp_path / f"out{len(flags)}"
@@ -267,13 +277,17 @@ class TestConfigFile:
         assert proc.returncode == 2
         assert str(tmp_path / "nope.json") in proc.stderr
 
-    @pytest.mark.parametrize("command, option", [("learn", "--method"), ("simulate", "--stencil"), ("dispersion", "--stencil")])
-    @pytest.mark.parametrize("config", [None, {"seed": 3}], ids=["no-file", "file-without-it"])
+    @pytest.mark.parametrize("command, option", [
+        ("learn", "--method"), ("learn", "--data"), ("simulate", "--stencil"), ("dispersion", "--stencil"),
+    ])
+    @pytest.mark.parametrize("config", [None, {"out": "unused"}], ids=["no-file", "file-without-it"])
     def test_required_option_from_neither_is_two(self, tmp_path, command, option, config):
-        flags = []
+        # learn's other required option is given
+        given = {"--method": "admm", "--data": str(tmp_path / "d.npz")} if command == "learn" else {}
+        flags = [arg for flag, value in given.items() if flag != option for arg in (flag, value)]
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
-            flags = ["--config", str(tmp_path / "cfg.json")]
+            flags += ["--config", str(tmp_path / "cfg.json")]
         proc = run_cli(command, *flags, "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert proc.stderr.strip().splitlines()[-1] == f"stencil-lab {command}: error: the following arguments are required: {option}"
@@ -284,8 +298,8 @@ class TestExitCodes:
     def test_success_is_zero(self, tmp_path):
         assert run_cli("gen-data", "--out", str(tmp_path), "--n-sims", "2").returncode == 0
 
-    def test_config_error_is_two(self, tmp_path):
-        proc = run_cli("learn", "--method", "admm", "--max-iters", "0", "--out", str(tmp_path))
+    def test_config_error_is_two(self, tmp_path, data_file):
+        proc = run_cli("learn", "--method", "admm", "--max-iters", "0", "--data", str(data_file), "--out", str(tmp_path))
         assert proc.returncode == 2
         assert "error" in proc.stderr
 
@@ -319,7 +333,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("engine", ["dense", "spectral"])
     def test_grid_too_small_for_stencil_is_two(self, tmp_path, engine):
         save_stencil(centered_difference_stencil(Grid1D(N=64), 2), tmp_path / "s.json")
-        proc = run_cli("simulate", "--stencil", str(tmp_path / "s.json"), "--grid-n", "3", "--engine", engine,
+        proc = run_cli("simulate", "--stencil", str(tmp_path / "s.json"), "--length", "0.046875", "--engine", engine,
                        "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert proc.stderr.strip() == "error: grid N=3 too small for stencil radius R=2 (need N >= 5)"
@@ -414,7 +428,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("dx, flags, message", [
         ("NaN", [], "dx must be positive and finite, got nan"),
-        ("0.015625", ["--dt", "nan"], "dt must be positive and finite, got nan"),
+        ("0.015625", ["--dt-ratio", "nan"], "dt must be positive and finite, got nan"),
     ], ids=["stencil-dx", "dt"])
     def test_non_finite_dispersion_value_is_two(self, tmp_path, dx, flags, message):
         # json reads the bare token NaN as a float
@@ -424,12 +438,13 @@ class TestExitCodes:
         assert proc.stderr.strip() == f"error: {message}"
         assert not (tmp_path / "out" / "report.json").exists()
 
-    # cfg.json holds the config, where given; json writes NaN and Infinity as those bare tokens
+    # cfg.json holds the config, where given, and d.npz does not exist: learn checks its settings first;
+    # json writes NaN and Infinity as those bare tokens
     @pytest.mark.parametrize("argv, config, message", [
-        (["learn", "--method", "admm", "--n-sims", "10", "--tol", "nan"], None, "tol must be positive and finite, got nan"),
-        (["learn", "--method", "admm", "--n-sims", "10", "--lam", "nan"], None, "lam must be nonnegative and finite, got nan"),
-        (["learn", "--method", "admm", "--n-sims", "10", "--box", "nan"], None, "box bound M must be positive, got nan"),
-        (["learn", "--method", "admm", "--n-sims", "10", "--rho", "inf"], None,
+        (["learn", "--method", "admm", "--data", "d.npz", "--tol", "nan"], None, "tol must be positive and finite, got nan"),
+        (["learn", "--method", "admm", "--data", "d.npz", "--lam", "nan"], None, "lam must be nonnegative and finite, got nan"),
+        (["learn", "--method", "admm", "--data", "d.npz", "--box", "nan"], None, "box bound M must be positive, got nan"),
+        (["learn", "--method", "admm", "--data", "d.npz", "--rho", "inf"], None,
          "ADMM penalty rho must be positive and finite, got inf"),
         (["simulate", "--stencil", "s.json", "--length", "inf"], None, "length must be positive and finite, got inf"),
         (["simulate", "--stencil", "s.json", "--length", "nan"], None, "length must be positive and finite, got nan"),
@@ -442,7 +457,7 @@ class TestExitCodes:
         save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
-        argv = [str(tmp_path / arg) if arg in ("s.json", "cfg.json") else arg for arg in argv]
+        argv = [str(tmp_path / arg) if arg in ("s.json", "cfg.json", "d.npz") else arg for arg in argv]
         proc = run_cli(*argv, "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert proc.stderr.strip() == f"error: {message}"
@@ -559,23 +574,81 @@ class TestExperimentFlags:
         assert not (tmp_path / "out").exists()
 
 
+class TestSimulateGrid:
+    """simulate runs on --length measured in cells of the stencil's own dx."""
+
+    def test_length_sets_the_cell_count(self, tmp_path):
+        save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
+        proc = run_cli("simulate", "--stencil", str(tmp_path / "s.json"), "--length", "2", "--steps", "20",
+                       "--out", str(tmp_path / "out"))
+        assert proc.returncode == 0, proc.stderr
+        grid = Grid1D(N=128, L=2.0)
+        cfg = SimConfig(dt=0.5 * grid.dx, n_steps=20, grid=grid, stencil=load_stencil(tmp_path / "s.json"))
+        final = simulate(single_mode_initial_condition(grid), cfg).final
+        field = np.loadtxt(tmp_path / "out" / "final_field.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(field, np.column_stack([grid.x, final.E, final.H]))
+
+    @pytest.mark.parametrize("length", ["1.3", "0.001"])
+    def test_length_not_whole_stencil_cells_is_two(self, tmp_path, length):
+        save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
+        proc = run_cli("simulate", "--stencil", str(tmp_path / "s.json"), "--length", length, "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: length {length} is not a whole number of stencil cells (dx=0.015625)\n"
+        assert not (tmp_path / "out").exists()
+
+
+# each setting a subcommand no longer takes, with a value of its old type
+_REMOVED = [
+    *(("learn", flag, value) for flag, value in (("n-sims", "7"), ("m-max", "3"), ("grid-n", "128"), ("length", "2.0"),
+                                                 ("sigma", "0.3"), ("amplitude-std", "2.0"), ("seed", "99"))),
+    ("simulate", "seed", "77"), ("simulate", "dt", "0.001"), ("simulate", "grid-n", "128"),
+    ("dispersion", "seed", "5"), ("dispersion", "dt", "0.001"),
+]
+
+
+class TestRemovedSettings:
+    @pytest.mark.parametrize("command, flags, config, message", [
+        *(case for command, flag, value in _REMOVED for case in (
+            pytest.param(command, [f"--{flag}", value], None, f"stencil-lab: error: unrecognized arguments: --{flag} {value}",
+                         id=f"{command}-flag-{flag}"),
+            pytest.param(command, [], {flag.replace("-", "_"): json.loads(value)},
+                         f"error: unknown config key(s): {flag.replace('-', '_')}", id=f"{command}-file-{flag}"),
+        )),
+        pytest.param("experiment", [], {"solver_opts": {"step": 1}}, "error: unknown config key(s): solver_opts.step",
+                     id="experiment-file-solver_opts.step"),
+    ])
+    def test_removed_setting_is_two(self, tmp_path, capsys, data_file, command, flags, config, message):
+        save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
+        required = {"learn": ["--method", "admm", "--data", str(data_file)], "experiment": ["table1"]}
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            flags = [*flags, "--config", str(tmp_path / "cfg.json")]
+        argv = [command, *required.get(command, ["--stencil", str(tmp_path / "s.json")]), *flags, "--out", str(tmp_path / "out")]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's own error
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == message and err.count("error:") == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestOutputDirectory:
     @pytest.mark.parametrize("argv", [
-        ["learn", "--method", "admm", "--tol", "nan"],
+        ["learn", "--method", "admm", "--tol", "nan", "--data", "missing.npz"],
         ["simulate", "--stencil", "missing.json"],
     ], ids=["learn-tol-nan", "simulate-missing-stencil"])
     def test_rejected_run_leaves_no_directory(self, tmp_path, argv):
-        argv = [str(tmp_path / arg) if arg == "missing.json" else arg for arg in argv]
+        argv = [str(tmp_path / arg) if arg.startswith("missing.") else arg for arg in argv]
         proc = run_cli(*argv, "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
         assert not (tmp_path / "o").exists()
 
-    def test_learn_checks_solver_settings_before_generating_data(self, tmp_path, monkeypatch, capsys):
-        def generate(cfg):
-            raise AssertionError("learn generated training data before checking its solver settings")
-
-        monkeypatch.setattr(cli, "generate_training_set", generate)
-        assert cli.main(["learn", "--method", "admm", "--tol", "nan", "--out", str(tmp_path / "o")]) == 2
+    # the data file does not exist, so the settings error shows that learn checked them before reading it
+    def test_learn_checks_solver_settings_before_generating_data(self, tmp_path, capsys):
+        argv = ["learn", "--method", "admm", "--tol", "nan", "--data", str(tmp_path / "none.npz"), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
         assert capsys.readouterr().err.strip() == "error: tol must be positive and finite, got nan"
         assert not (tmp_path / "o").exists()
 
@@ -584,18 +657,10 @@ class TestOutputDirectory:
         ("--box", "0", "box bound M must be positive, got 0.0"),
         ("--radius", "0", "radius must be >= 1, got 0"),
     ], ids=["lam-nan", "box-0", "radius-0"])
-    def test_learn_checks_regression_settings_before_generating_data(self, tmp_path, monkeypatch, capsys, flag, value,
-                                                                     message):
-        calls = []
-
-        def generate(cfg):
-            calls.append(cfg)
-            return generate_training_set(cfg)
-
-        monkeypatch.setattr(cli, "generate_training_set", generate)
-        assert cli.main(["learn", "--method", "admm", flag, value, "--out", str(tmp_path / "o")]) == 2
+    def test_learn_checks_regression_settings_before_generating_data(self, tmp_path, capsys, flag, value, message):
+        argv = ["learn", "--method", "admm", flag, value, "--data", str(tmp_path / "none.npz"), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
         assert capsys.readouterr().err.strip() == f"error: {message}"
-        assert calls == []
         assert not (tmp_path / "o").exists()
 
 

@@ -298,7 +298,6 @@ _common_data = {
         "max_iters": st.none() | st.integers(1, 10_000),
         "tol": _finite(1e-16, 1.0),
         "rho": _finite(1e-6, 1e3),
-        "step": st.none() | _finite(1e-9, 1e3),
     }),
     "output_dir": st.text("ab_-/.", min_size=1, max_size=12),
 }
@@ -381,12 +380,12 @@ class TestConfig:
         assert str(info.value) == f"config key {message}"
 
     def test_merge_accepts_json_forms_of_field_types(self):
-        changes = {"lam": 1, "resolutions": [32, 64], "output_dir": "out", "solver_opts": {"max_iters": None, "step": 2}}
+        changes = {"lam": 1, "resolutions": [32, 64], "output_dir": "out", "dt_ratio": 2, "solver_opts": {"max_iters": None}}
         cfg = merge(ExperimentConfig(name="convergence"), changes)
         assert (cfg.lam, cfg.resolutions, cfg.output_dir) == (1, (32, 64), Path("out"))
-        assert (cfg.solver_opts.max_iters, cfg.solver_opts.step) == (None, 2)
+        assert (cfg.solver_opts.max_iters, cfg.dt_ratio) == (None, 2)
         # an int given for a float (or float | None) field is stored as a float
-        assert (type(cfg.lam), type(cfg.solver_opts.step), type(cfg.resolutions[0])) == (float, float, int)
+        assert (type(cfg.lam), type(cfg.dt_ratio), type(cfg.resolutions[0])) == (float, float, int)
 
     def test_unknown_keys_rejected(self):
         data = ExperimentConfig(name="table1").to_dict()

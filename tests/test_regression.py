@@ -310,9 +310,11 @@ def test_diagnostics_dump(system_r1, tmp_path):
 
     from stencil_lab.cli import main
 
-    # learn's defaults generate the default training set that system_r1 holds at R=1
-    assert main(["learn", "--method", "ref", "--out", str(tmp_path)]) == 0
-    on_disk = json.loads((tmp_path / "diagnostics.json").read_text())
+    # gen-data's defaults write the default training set that system_r1 holds at R=1
+    assert main(["gen-data", "--out", str(tmp_path / "data")]) == 0
+    assert main(["learn", "--method", "ref", "--data", str(tmp_path / "data" / "training_data.npz"),
+                 "--out", str(tmp_path / "learn")]) == 0
+    on_disk = json.loads((tmp_path / "learn" / "diagnostics.json").read_text())
     assert on_disk["rows"] == 25600 and on_disk["cols"] == 3
     assert np.allclose(on_disk["gram"], system_r1.gram)
     assert on_disk["lambda"] == system_r1.lam
