@@ -181,8 +181,8 @@ def solve_refined(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b in float64 and take one step of iterative refinement,
     with the residual evaluated in the precision of A and b. The step also
     repairs the error that pivot growth leaves in the float64 LU solve. Only
-    the reference QP solver uses it; the dense CN engine builds its matrices
-    by conjugate gradients."""
+    the reference QP solver uses it; the dense CN engine builds its Cayley
+    matrix, or for a non-skew stencil its two, by conjugate gradients."""
     A64 = np.asarray(A, dtype=float)
     x = np.linalg.solve(A64, np.asarray(b, dtype=float))
     return x + np.linalg.solve(A64, np.asarray(b - A @ x, dtype=float))

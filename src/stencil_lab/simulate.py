@@ -8,22 +8,26 @@ maps are orthogonal, so the discrete energy (||p||^2 + ||q||^2) / 4 and
 every modal energy are conserved exactly, for any time step.
 
 Since p and q never interact, each engine is one function (see ENGINES)
-that runs p for all n_steps, then q, each chain with its own operator, and
-returns per chain the squared norm ||u||^2 of its state after each step, up
-to the first non-finite one, and the states at the requested steps.
-`simulate` alone forms E = (p + q)/2, H = (p - q)/2 and the energy
-dx/4 (||p||^2 + ||q||^2). Only one operator is alive at a time; for the
-dense engine that keeps one N x N matrix in the L2 cache where two would
-not fit (N = 384 to 512 on a 2 MB L2).
+that returns per chain the squared norm ||u||^2 of its state after each
+step, up to the first non-finite one, and the states at the requested
+steps. `simulate` alone forms E = (p + q)/2, H = (p - q)/2 and the energy
+dx/4 (||p||^2 + ||q||^2).
 
-* "dense": the N x N matrix S(+-dt/2), built per chain and applied once
-  per step. S(h) is a rational function of the circulant D, and circulants
-  are closed under products and inverses, so S(h) is circulant and its
-  first column builds it. That column comes from matrix-free conjugate
-  gradients on the normal equations (CGNR; Saad, Iterative Methods for
-  Sparse Linear Systems, 2003, sec. 8.3; see cayley_matrix): no pivoting,
-  so no error growth with N. This is the default and the behavioral
-  reference, FFT-free, LU-free and stepped.
+For a skew D (w_{-l} = -w_l exactly), S(-h) = S(h)^T = J S(h) J, where J
+is the index mirror i -> -i mod N: q's operator is p's, mirrored. The dense
+engine then needs one N x N matrix, S(dt/2), and steps p and J q together,
+so each step reads the matrix from memory once for both chains. For any
+other stencil it runs p for all n_steps with S(dt/2), then q with
+S(-dt/2), so again only one matrix is alive at a time.
+
+* "dense": the N x N matrix S(dt/2), and for a non-skew stencil S(-dt/2),
+  applied once per step. S(h) is a rational function of the circulant D,
+  and circulants are closed under products and inverses, so S(h) is
+  circulant and its first column builds it. That column comes from
+  matrix-free conjugate gradients on the normal equations (CGNR; Saad,
+  Iterative Methods for Sparse Linear Systems, 2003, sec. 8.3; see
+  cayley_matrix): no pivoting, so no error growth with N. This is the
+  default and the behavioral reference, FFT-free, LU-free and stepped.
 * "spectral": the FFT diagonalizes the circulant D, so S(+-dt/2) multiplies
   each Fourier mode by the same m = cn_multiplier(+-mu) at every step. The
   engine takes no steps: after k steps a mode is m^k times its start, and
@@ -134,8 +138,9 @@ def _cg(g: np.ndarray, r: np.ndarray, cap: int) -> np.ndarray:
 
 
 def cayley_matrix(cfg: SimConfig, sign: int) -> np.ndarray:
-    """S(sign dt/2), the p chain's N x N circulant for sign = +1 and the q
-    chain's for -1, built from the first column s of
+    """S(sign dt/2), the p chain's N x N circulant for sign = +1 and, for a
+    non-skew stencil, the q chain's for -1 (a skew stencil's q chain runs
+    on S(dt/2) mirrored; see _dense), built from the first column s of
     S(h) = (I - h D)^{-1} (I + h D): conjugate gradients on
     A^T A s = A^T B e_0, with A = I - h D and B = I + h D, then one
     refinement step, CG on A^T A d = A^T (B e_0 - A s). A^T A is applied
@@ -164,11 +169,20 @@ Chain = tuple[np.ndarray, dict[int, np.ndarray]]  # squared norms per step, stat
 
 
 def _dense(cfg: SimConfig, init: FieldPair, n: int, keep: set[int]) -> tuple[Chain, Chain]:
-    """Each chain stepped n times by its matrix cayley_matrix(cfg, +-1)."""
+    """p stepped n times by S(dt/2) = cayley_matrix(cfg, +1) and q by
+    S(-dt/2). A skew stencil builds only S(dt/2): with J the mirror
+    i -> -i mod N, S(-dt/2) = S(dt/2)^T = J S(dt/2) J, so one product per
+    step advances the stack [p, J q], and J, its own inverse, gives q back
+    at the kept steps (||J q|| = ||q||)."""
     _cn_symbol(cfg)  # a singular system raises here
-    # each matrix lives only while its chain runs
-    return (_chain(cayley_matrix(cfg, +1).__matmul__, init.E + init.H, n, keep),
-            _chain(cayley_matrix(cfg, -1).__matmul__, init.E - init.H, n, keep))
+    p, q = init.E + init.H, init.E - init.H
+    w = cfg.stencil.w
+    if not np.array_equal(w, -w[::-1]):
+        # each matrix lives only while its chain runs
+        return (*_chain(cayley_matrix(cfg, +1), p[None], n, keep), *_chain(cayley_matrix(cfg, -1), q[None], n, keep))
+    mirror = -np.arange(cfg.grid.N) % cfg.grid.N
+    p_chain, (q_norms, q_kept) = _chain(cayley_matrix(cfg, +1), np.stack([p, q[mirror]]), n, keep)
+    return p_chain, (q_norms, {k: u[mirror] for k, u in q_kept.items()})
 
 
 _TWO_PI = 8 * np.arctan(np.longdouble(1))  # in extended precision, for reducing k arg m
@@ -243,19 +257,27 @@ def _power_sums(log_a: np.ndarray, log_v: np.ndarray, n: int) -> np.ndarray:
     return sums.ravel()[:n]
 
 
-def _chain(step, u: np.ndarray, n: int, keep: set[int]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """Apply `step` to u n times. Returns the squared norm after each step,
-    up to and including the first non-finite one, and u at the steps in keep."""
-    norms = np.empty(n)
+def _chain(S: np.ndarray, u: np.ndarray, n: int, keep: set[int]) -> list[Chain]:
+    """Step each row of the k x N stack u n times by the matrix S, the whole
+    stack in one product per step, so S is read once per step for all k
+    rows. Returns one Chain per row: its squared norm after each step, up to
+    and including the first step at which a row's is non-finite, and the
+    row at the steps in keep."""
+    S_t = S.T
+    norms = np.empty((u.shape[0], n))
     kept = {}
     for k in range(1, n + 1):
-        u = step(u)
-        s = norms[k - 1] = u @ u
+        u = u @ S_t  # row j is S u_j
+        total = 0.0
+        for j, x in enumerate(u):
+            norms[j, k - 1] = s = x @ x
+            total += s
         if k in keep:
             kept[k] = u
-        if not math.isfinite(s):
-            return norms[:k], kept
-    return norms, kept
+        if not math.isfinite(total):
+            norms = norms[:, :k]
+            break
+    return [(row_norms, {k: u[j] for k, u in kept.items()}) for j, row_norms in enumerate(norms)]
 
 
 def simulate(

@@ -18,9 +18,13 @@ from stencil_lab.core import (
     circulant,
     discrete_energy,
     fourier_symbol,
+    load_stencil,
     real_fft,
+    save_stencil,
 )
-from stencil_lab.experiments import RunDir, simulate_csvs
+from stencil_lab.experiments import ExperimentConfig, RunDir, nonstandard_target, run_noisy, simulate_csvs
+from stencil_lab.regression import lift
+from stencil_lab.solvers import ADMM, NAG, PG, REFERENCE
 from stencil_lab.simulate import (
     ENGINES,
     SimConfig,
@@ -230,15 +234,24 @@ class TestEngineStructure:
     @example(w=np.array([0.616, 0.063, -0.741]), extra_cells=149, dt_ratio=3.73, backward=True)
     # CG without its refinement step was 2.0e-14 off here (N=9)
     @example(w=random_cayley_stencil(1, 4, False), extra_cells=0, dt_ratio=7.0, backward=False)
+    @example(w=random_cayley_stencil(5, 2, True), extra_cells=11, dt_ratio=1.5, backward=True)
     def test_dense_matrices_are_the_circulant_cayley_transforms(self, w, extra_cells, dt_ratio, backward):
+        """S(+-dt/2) is the circulant whose eigenvalues are the CN
+        multipliers, and for a skew stencil S(-dt/2) is S(dt/2) mirrored,
+        J S(dt/2) J with J the index map i -> -i mod N: the dense engine
+        steps a skew stencil's q chain with the p chain's matrix."""
         grid = Grid1D(N=w.size + extra_cells)
         cfg = standard_config(grid, Stencil(w / grid.dx, grid.dx), dt_ratio=-dt_ratio if backward else dt_ratio,
                               n_steps=1)
+        mirror = -np.arange(grid.N) % grid.N
         for sign in (1, -1):
             S = cayley_matrix(cfg, sign)
             exact = fft_cayley(cfg, sign)
             assert np.max(np.abs(S - exact)) <= 1e-14 * max(1.0, np.max(np.abs(exact)))
             assert all(np.array_equal(S[i], np.roll(S[0], i)) for i in range(grid.N))
+            if sign == 1 and np.array_equal(w, -w[::-1]):
+                exact = fft_cayley(cfg, -1)
+                assert np.max(np.abs(S[mirror][:, mirror] - exact)) <= 1e-14 * max(1.0, np.max(np.abs(exact)))
 
     @pytest.mark.parametrize("N", [64, 512])
     def test_dense_engine_calls_no_fft_and_no_dense_solve(self, N, monkeypatch):
@@ -301,17 +314,30 @@ def lockstep_simulate(init, cfg, snapshot_every, engine):
     if np.any((half_mu == 1.0) | (half_mu == -1.0)):
         raise NumericalError("Crank-Nicolson system matrix is singular for this stencil and dt")
     if engine == "dense":
-        S_p, S_q = cayley_matrix(cfg, +1), cayley_matrix(cfg, -1)
         p, q = init.E + init.H, init.E - init.H
+        w = cfg.stencil.w
+        mirror = np.arange(grid.N)
+        if np.array_equal(w, -w[::-1]):
+            # S(-dt/2) = J S(dt/2) J for the mirror J: i -> -i mod N, so q is held mirrored and
+            # stepped with p by S(dt/2), in the engine's product of the stacked pair
+            mirror = -mirror % grid.N
+            S_t = cayley_matrix(cfg, +1).T
+            q = q[mirror]
 
-        def advance(p, q):
-            return S_p @ p, S_q @ q
+            def advance(p, q):
+                p, q = np.stack([p, q]) @ S_t
+                return p, q
+        else:
+            S_p, S_q = cayley_matrix(cfg, +1), cayley_matrix(cfg, -1)
+
+            def advance(p, q):
+                return S_p @ p, S_q @ q
 
         def energy(p, q):
             return 0.25 * grid.dx * float(p @ p + q @ q)
 
         def fields(p, q):
-            return FieldPair(E=0.5 * (p + q), H=0.5 * (p - q))
+            return FieldPair(E=0.5 * (p + q[mirror]), H=0.5 * (p - q[mirror]))
     else:
         mult_p, mult_q = cn_multiplier(mu, cfg.dt), cn_multiplier(-mu, cfg.dt)
         Ef, Hf = real_fft(init.E), real_fft(init.H)
@@ -433,16 +459,71 @@ class TestChainMajor:
 
     def test_dense_run_holds_one_matrix_at_a_time(self):
         grid = Grid1D(N=512)
-        cfg = standard_config(grid)
         init = single_mode_initial_condition(grid)
-        tracemalloc.start()
-        try:
-            simulate(init, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # both Cayley matrices alive at once would be 2 N^2 doubles
-        assert peak <= 1.5 * grid.N**2 * 8
+        # a skew stencil builds one matrix; a non-skew one (a small symmetric part) builds two, one per chain
+        for symmetric_part in (0.0, 1e-3):
+            w = centered_difference_stencil(grid).w + symmetric_part * np.array([1.0, -2.0, 1.0]) / grid.dx
+            tracemalloc.start()
+            try:
+                simulate(init, standard_config(grid, Stencil(w, grid.dx)))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # both Cayley matrices alive at once would be 2 N^2 doubles
+            assert peak <= 1.5 * grid.N**2 * 8
+
+
+def record_matrix_builds(monkeypatch):
+    """The (stencil coefficients, sign) of each cayley_matrix call made from
+    here on, as a list."""
+    built = []
+    build = simulate_module.cayley_matrix
+
+    def recorded(cfg, sign):
+        built.append((list(cfg.stencil.w), sign))
+        return build(cfg, sign)
+
+    monkeypatch.setattr(simulate_module, "cayley_matrix", recorded)
+    return built
+
+
+class TestDensePath:
+    """A dense run builds S(dt/2) alone for an exactly skew stencil, and
+    S(dt/2) and S(-dt/2) for any other."""
+
+    def one_build(self, monkeypatch, stencil, grid):
+        built = record_matrix_builds(monkeypatch)
+        result = simulate(single_mode_initial_condition(grid), standard_config(grid, stencil, n_steps=20))
+        e0 = result.energy_series[0]
+        assert np.max(np.abs(result.energy_series - e0)) <= 1e-13 * e0
+        assert built == [(list(stencil.w), 1)]
+
+    @pytest.mark.parametrize("R", [1, 2, 3, 4])
+    def test_centered_difference(self, monkeypatch, grid, R):
+        self.one_build(monkeypatch, centered_difference_stencil(grid, R), grid)
+
+    def test_nonstandard_target(self, monkeypatch, grid):
+        self.one_build(monkeypatch, nonstandard_target(grid), grid)
+
+    def test_negative_zero_centre(self, monkeypatch, grid):
+        # -w[::-1] has centre -0.0, which the skew test compares equal to 0.0 either way round
+        mirrored = Stencil(-nonstandard_target(grid).w[::-1], grid.dx)
+        assert np.signbit(mirrored.w[2])
+        self.one_build(monkeypatch, mirrored, grid)
+
+    def test_lifted(self, monkeypatch, grid, rng):
+        self.one_build(monkeypatch, Stencil(lift(rng.uniform(-1.0, 1.0, size=3)) / grid.dx, grid.dx), grid)
+
+    @pytest.mark.parametrize("method", [PG, NAG, ADMM, REFERENCE])
+    def test_learned_after_round_trip(self, monkeypatch, grid, solver_reports, method, tmp_path):
+        save_stencil(Stencil(solver_reports[method].w_final, grid.dx), tmp_path / "stencil.json")
+        self.one_build(monkeypatch, load_stencil(tmp_path / "stencil.json"), grid)
+
+    def test_noisy_presets_unconstrained_stencil_builds_two(self, monkeypatch, tmp_path):
+        built = record_matrix_builds(monkeypatch)
+        runs = run_noisy(ExperimentConfig(name="noisy", output_dir=tmp_path))["runs"]
+        for label, signs in (("centered", [1]), ("unconstrained_ls", [1, -1]), ("constrained_qp", [1])):
+            assert [sign for w, sign in built if w == runs[label]["coefficients"]] == signs
 
 
 class TestTravelingWave:
