@@ -12,16 +12,19 @@ takes only the settings it reads: --seed belongs to gen-data and
 experiment, learn reads its training data (and so its seed) from --data,
 and simulate runs on --length measured in cells of the stencil's dx.
 
-A config file's keys are the subcommand's long option names with `_`
-(n_sims, grid_n, dt_ratio, ...) and become that subcommand's defaults, so
-a flag beats the file and the file beats the built-in default. The
-`experiment` config file instead holds ExperimentConfig fields, nested as
-in a preset manifest's `config`, and --seed, --sigma (training.noise_std)
-and --radius are merged onto it; a setting the preset does not read is a
-configuration error. Every subcommand writes manifest.json (subcommand or
-preset, version, the seed of its training data where it has any, resolved
-settings, outputs, solver stop reasons) and warns on stderr about each
-solve stopped at its iteration cap.
+The settings of gen-data, learn, simulate and dispersion are each a
+dataclass whose fields are the flags (`--name`, `-` for `_`) and the
+config keys. `experiments.merge` applies the file onto the defaults and
+the given flags onto that: a flag beats the file, which beats the
+default, and a file value must have its field's JSON type. The
+`experiment` config file holds ExperimentConfig fields, nested as in a
+preset manifest's `config`, with --seed, --sigma (training.noise_std)
+and --radius merged onto it. A setting that a preset, or learn's
+--method, does not read is a configuration error. Every subcommand writes
+manifest.json (subcommand or preset, version, the seed of its training
+data where it has any, the settings it read, outputs, solver stop
+reasons) and warns on stderr about each solve stopped at its iteration
+cap.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error
 (including an unknown config key).
@@ -32,9 +35,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field, fields
 from math import isclose, isfinite
 from pathlib import Path
+from types import UnionType
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -44,37 +49,61 @@ from .experiments import DEFAULT_SEED, EXPERIMENT_NAMES, ExperimentConfig, RunDi
 from .experiments import DISPERSION_SAMPLES, dispersion_csvs, simulate_csvs
 from .regression import assemble_regression, build_skew_constraints, check_penalties
 from .simulate import SimConfig
-from .solvers import SolverOptions, solve
+from .solvers import SolverOptions, options_read, solve
 from .training import TrainingConfig, generate_training_set, load_training_set, save_training_set
 
-# namespace entries that are not options of the subcommand
-_NOT_OPTIONS = ("command", "config", "func", "parser")
-
-# options without a default, which the flag or the config file must give
+# settings without a default (None), which the flag or the config file must give
 _REQUIRED = ("method", "stencil", "data")
 
 
-def _add_global_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, default=None, help="JSON file with option overrides")
-    parser.add_argument("--out", type=Path, default="stencil-lab-out", help="output directory (default ./stencil-lab-out)")
+# a field's "help" is its flag's, to which the flag adds the default or that it is required
+@dataclass(frozen=True, eq=False)
+class GenDataSettings:
+    seed: int = field(default=DEFAULT_SEED, metadata={"help": "PRNG seed"})
+    out: Path = field(default=Path("stencil-lab-out"), metadata={"help": "output directory"})
+    n_sims: int = field(default=200, metadata={"help": "training samples"})
+    m_max: int = field(default=5, metadata={"help": "highest Fourier mode"})
+    grid_n: int = field(default=64, metadata={"help": "grid cells"})
+    length: float = field(default=1.0, metadata={"help": "domain length"})
+    sigma: float = field(default=0.0, metadata={"help": "derivative noise std"})
+    amplitude_std: float = field(default=1.0, metadata={"help": "mode amplitude std"})
 
 
-def _add_training_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-sims", type=int, default=200, help="training samples (default 200)")
-    parser.add_argument("--m-max", type=int, default=5, help="highest Fourier mode (default 5)")
-    parser.add_argument("--grid-n", type=int, default=64, help="grid cells (default 64)")
-    parser.add_argument("--length", type=float, default=1.0, help="domain length (default 1.0)")
-    parser.add_argument("--sigma", type=float, default=0.0, help="derivative noise std (default 0)")
-    parser.add_argument("--amplitude-std", type=float, default=1.0, help="mode amplitude std (default 1.0)")
+@dataclass(frozen=True, eq=False)
+class LearnSettings:
+    out: Path = field(default=Path("stencil-lab-out"), metadata={"help": "output directory"})
+    radius: int = field(default=1, metadata={"help": "stencil radius R"})
+    lam: float = field(default=1e-6, metadata={"help": "Tikhonov weight"})
+    box: float = field(default=100.0, metadata={"help": "box bound M"})
+    rho: float = field(default=0.05, metadata={"help": "ADMM penalty"})
+    max_iters: int | None = field(default=None, metadata={"help": "iteration cap"})
+    tol: float = field(default=1e-12, metadata={"help": "stopping tolerance"})
+    method: Literal["pg", "nag", "admm", "ref"] = field(default=None, metadata={"help": "solver"})
+    data: Path = field(default=None, metadata={"help": "training-data .npz from gen-data"})
+
+    def settings(self) -> tuple[str, ...]:
+        """The fields the run reads: of the solver settings, those its method reads."""
+        unread = {f.name for f in fields(SolverOptions)}.difference(options_read(self.method))
+        return tuple(f.name for f in fields(self) if f.name not in unread)
 
 
-def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--radius", type=int, default=1, help="stencil radius R (default 1)")
-    parser.add_argument("--lam", type=float, default=1e-6, help="Tikhonov weight (default 1e-6)")
-    parser.add_argument("--box", type=float, default=100.0, help="box bound M (default 100)")
-    parser.add_argument("--rho", type=float, default=0.05, help="ADMM penalty (default 0.05)")
-    parser.add_argument("--max-iters", type=int, default=None, help="iteration cap (default per method)")
-    parser.add_argument("--tol", type=float, default=1e-12, help="stopping tolerance (default 1e-12)")
+@dataclass(frozen=True, eq=False)
+class SimulateSettings:
+    out: Path = field(default=Path("stencil-lab-out"), metadata={"help": "output directory"})
+    stencil: Path = field(default=None, metadata={"help": "stencil JSON file"})
+    length: float = field(default=1.0, metadata={"help": "domain length, a whole number of stencil cells"})
+    dt_ratio: float = field(default=0.5, metadata={"help": "dt as multiple of dx"})
+    steps: int = field(default=300, metadata={"help": "time steps"})
+    snapshot_every: int = field(default=0, metadata={"help": "record E(x,t) every k steps, 0 for never"})
+    engine: Literal["dense", "spectral"] = field(default="dense", metadata={"help": "Crank-Nicolson engine"})
+
+
+@dataclass(frozen=True, eq=False)
+class DispersionSettings:
+    out: Path = field(default=Path("stencil-lab-out"), metadata={"help": "output directory"})
+    stencil: Path = field(default=None, metadata={"help": "stencil JSON file"})
+    dt_ratio: float = field(default=0.5, metadata={"help": "dt as multiple of dx"})
+    samples: int = field(default=DISPERSION_SAMPLES, metadata={"help": "theta samples in (0, pi]"})
 
 
 def _load_config(path: Path | None) -> dict:
@@ -87,42 +116,6 @@ def _load_config(path: Path | None) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     return data
-
-
-def _options(args) -> dict:
-    return {key: value for key, value in vars(args).items() if key not in _NOT_OPTIONS}
-
-
-def _file_value(action: argparse.Action, value):
-    """A config-file value converted as its option's command-line text
-    would be: numbers by their text, null only where the option defaults to
-    unset."""
-    if value is None and action.default is None:
-        return None
-    if isinstance(value, (str, int, float)):
-        try:
-            converted = (action.type or str)(str(value))
-        except ValueError:
-            pass
-        else:
-            if action.choices is None or converted in action.choices:
-                return converted
-    raise ValueError(f"config key {action.dest}: invalid value {json.dumps(value)}")
-
-
-def _config_defaults(args) -> dict:
-    """The config file's entries, checked against the subcommand's options
-    and converted by each option's type."""
-    config = _load_config(args.config)
-    unknown = [key for key in config if key not in _options(args)]
-    if unknown:
-        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    actions = {action.dest: action for action in args.parser._actions}
-    return {key: _file_value(actions[key], value) for key, value in config.items()}
-
-
-def _run_dir(args, **header) -> RunDir:
-    return RunDir(args.out, command=args.command, **header, config=_options(args))
 
 
 def _warn_capped(solves: dict) -> None:
@@ -141,24 +134,25 @@ def _read_manifest(root: Path) -> dict:
     return json.loads((root / "manifest.json").read_text())
 
 
-def _cmd_gen_data(args) -> int:
-    run = _run_dir(args, seed=args.seed)
-    cfg = TrainingConfig(n_sims=args.n_sims, m_max=args.m_max, grid=Grid1D(N=args.grid_n, L=args.length), seed=args.seed,
-                         amplitude_std=args.amplitude_std, noise_std=args.sigma)
+def _cmd_gen_data(s: GenDataSettings) -> int:
+    run = RunDir(s.out, command="gen-data", seed=s.seed, config=asdict(s))
+    cfg = TrainingConfig(n_sims=s.n_sims, m_max=s.m_max, grid=Grid1D(N=s.grid_n, L=s.length), seed=s.seed,
+                         amplitude_std=s.amplitude_std, noise_std=s.sigma)
     save_training_set(generate_training_set(cfg), run.path("training_data.npz"))
     print(f"{cfg.n_sims} samples, N={cfg.grid.N}, m_max={cfg.m_max}, sigma={cfg.noise_std}")
     return _announce(run.root, run.finish())
 
 
-def _cmd_learn(args) -> int:
+def _cmd_learn(s: LearnSettings) -> int:
     # the settings are checked before the data is loaded
-    opts = SolverOptions(max_iters=args.max_iters, tol=args.tol, rho=args.rho)
-    constraints = build_skew_constraints(args.radius)
-    check_penalties(args.lam, args.box)
-    ts = load_training_set(args.data)
-    run = _run_dir(args, seed=ts.config.seed, training=asdict(ts.config))
-    system = assemble_regression(ts, R=args.radius, lam=args.lam, M=args.box)
-    report = run.record(args.method, solve(args.method, system, constraints, opts))
+    opts = SolverOptions(max_iters=s.max_iters, tol=s.tol, rho=s.rho)
+    constraints = build_skew_constraints(s.radius)
+    check_penalties(s.lam, s.box)
+    ts = load_training_set(s.data)
+    run = RunDir(s.out, command="learn", seed=ts.config.seed, training=asdict(ts.config),
+                 config={key: value for key, value in asdict(s).items() if key in s.settings()})
+    system = assemble_regression(ts, R=s.radius, lam=s.lam, M=s.box)
+    report = run.record(s.method, solve(s.method, system, constraints, opts))
     stencil = Stencil(w=report.w_final, dx=ts.config.grid.dx)
     save_stencil(stencil, run.path("stencil.json"))
     run.write_json("solver_report.json", report.to_dict())
@@ -171,34 +165,34 @@ def _cmd_learn(args) -> int:
     return _announce(run.root, run.finish())
 
 
-def _cmd_simulate(args) -> int:
-    run = _run_dir(args)
-    stencil = load_stencil(args.stencil)
-    if not (isfinite(args.length) and args.length > 0):  # before it divides into a cell count
-        raise ValueError(f"length must be positive and finite, got {args.length}")
-    n = round(args.length / stencil.dx)
-    if not isclose(n * stencil.dx, args.length, rel_tol=1e-12):
-        raise ValueError(f"length {args.length} is not a whole number of stencil cells (dx={stencil.dx})")
-    grid = Grid1D(N=n, L=args.length)
-    dt = args.dt_ratio * grid.dx
-    kinds = ("energy", "final_field", "spacetime") if args.snapshot_every else ("energy", "final_field")
-    sim_cfg = SimConfig(dt=dt, n_steps=args.steps, grid=grid, stencil=stencil)
-    result = simulate_csvs(run, sim_cfg, kinds, snapshot_every=args.snapshot_every or None, engine=args.engine)
+def _cmd_simulate(s: SimulateSettings) -> int:
+    run = RunDir(s.out, command="simulate", config=asdict(s))
+    stencil = load_stencil(s.stencil)
+    if not (isfinite(s.length) and s.length > 0):  # before it divides into a cell count
+        raise ValueError(f"length must be positive and finite, got {s.length}")
+    n = round(s.length / stencil.dx)
+    if not isclose(n * stencil.dx, s.length, rel_tol=1e-12):
+        raise ValueError(f"length {s.length} is not a whole number of stencil cells (dx={stencil.dx})")
+    grid = Grid1D(N=n, L=s.length)
+    dt = s.dt_ratio * grid.dx
+    kinds = ("energy", "final_field", "spacetime") if s.snapshot_every else ("energy", "final_field")
+    sim_cfg = SimConfig(dt=dt, n_steps=s.steps, grid=grid, stencil=stencil)
+    result = simulate_csvs(run, sim_cfg, kinds, snapshot_every=s.snapshot_every or None, engine=s.engine)
     e = result.energy_series
-    print(f"steps={args.steps} dt={dt:.6g} energy drift={np.max(np.abs(e - e[0])):.3e}")
+    print(f"steps={s.steps} dt={dt:.6g} energy drift={np.max(np.abs(e - e[0])):.3e}")
     return _announce(run.root, run.finish())
 
 
-def _cmd_dispersion(args) -> int:
-    run = _run_dir(args)
-    stencil = load_stencil(args.stencil)
-    dt = args.dt_ratio * stencil.dx
+def _cmd_dispersion(s: DispersionSettings) -> int:
+    run = RunDir(s.out, command="dispersion", config=asdict(s))
+    stencil = load_stencil(s.stencil)
+    dt = s.dt_ratio * stencil.dx
     c_max = max_wave_speed(stencil)
     report = {
         "dt": dt,
         "c_max": c_max,
         "cfl_bound": cfl_bound(stencil) if c_max > 0 else None,
-        "max_amplification_error": dispersion_csvs(run, stencil, dt, args.samples),
+        "max_amplification_error": dispersion_csvs(run, stencil, dt, s.samples),
     }
     print(f"c_max={report['c_max']:.6g} cfl_bound={report['cfl_bound']}")
     return _announce(run.root, run.finish(report))
@@ -216,67 +210,59 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _subcommand(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+def _subcommand(sub, name: str, func, help: str, settings: type | None = None) -> argparse.ArgumentParser:
     # no abbreviations: a removed flag such as --dt must not be read as --dt-ratio
     p = sub.add_parser(name, help=help, allow_abbrev=False)
-    p.set_defaults(func=func, parser=p)
+    p.set_defaults(func=func, parser=p, settings=settings)
+    p.add_argument("--config", type=Path, default=None, help="JSON file with option overrides")
+    # one flag per settings field, typed by its annotation; a flag not given leaves no entry in the namespace
+    hints = get_type_hints(settings) if settings else {}
+    for f in fields(settings) if settings else ():
+        hint = hints[f.name]
+        kind = {"choices": get_args(hint)} if get_origin(hint) is Literal else {
+            "type": get_args(hint)[0] if isinstance(hint, UnionType) else hint}
+        shown = "required, as a flag or a config key" if f.name in _REQUIRED else \
+            f"default {'per method' if f.default is None else f.default}"
+        p.add_argument(f"--{f.name.replace('_', '-')}", **kind, default=argparse.SUPPRESS,
+                       help=f"{f.metadata['help']} ({shown})")
     return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stencil-lab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    _subcommand(sub, "gen-data", _cmd_gen_data, "generate and save a training set", GenDataSettings)
+    _subcommand(sub, "learn", _cmd_learn, "learn a stencil", LearnSettings)
+    _subcommand(sub, "simulate", _cmd_simulate, "Crank-Nicolson run for a saved stencil", SimulateSettings)
+    _subcommand(sub, "dispersion", _cmd_dispersion, "symbol and CN dispersion curves", DispersionSettings)
 
-    p = _subcommand(sub, "gen-data", _cmd_gen_data, "generate and save a training set")
-    # --seed before --out keeps the manifest's config in its order
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"PRNG seed (default {DEFAULT_SEED})")
-    _add_global_flags(p)
-    _add_training_flags(p)
-
-    p = _subcommand(sub, "learn", _cmd_learn, "learn a stencil")
-    _add_global_flags(p)
-    _add_solver_flags(p)
-    p.add_argument("--method", choices=["pg", "nag", "admm", "ref"], help="solver (required, as a flag or a config key)")
-    p.add_argument("--data", type=Path, help="training-data .npz from gen-data (required, as a flag or a config key)")
-
-    p = _subcommand(sub, "simulate", _cmd_simulate, "Crank-Nicolson run for a saved stencil")
-    _add_global_flags(p)
-    p.add_argument("--stencil", type=Path, help="stencil JSON file (required, as a flag or a config key)")
-    p.add_argument("--length", type=float, default=1.0, help="domain length, a whole number of stencil cells (default 1.0)")
-    p.add_argument("--dt-ratio", type=float, default=0.5, help="dt as multiple of dx (default 0.5)")
-    p.add_argument("--steps", type=int, default=300, help="time steps (default 300)")
-    p.add_argument("--snapshot-every", type=int, default=0, help="record E(x,t) every k steps (0 = off)")
-    p.add_argument("--engine", choices=["dense", "spectral"], default="dense")
-
-    p = _subcommand(sub, "dispersion", _cmd_dispersion, "symbol and CN dispersion curves")
-    _add_global_flags(p)
-    p.add_argument("--stencil", type=Path, help="stencil JSON file (required, as a flag or a config key)")
-    p.add_argument("--dt-ratio", type=float, default=0.5, help="dt as multiple of dx (default 0.5)")
-    p.add_argument("--samples", type=int, default=DISPERSION_SAMPLES, help="theta samples in (0, pi] (default %(default)s)")
-
+    # unset flags leave the file's or the preset's values
     p = _subcommand(sub, "experiment", _cmd_experiment, "run a scripted preset")
-    _add_global_flags(p)
-    p.set_defaults(out=None)  # unset flags leave the file's or the preset's values
+    p.add_argument("--out", type=Path, default=None, help="output directory (default ./stencil-lab-out)")
     p.add_argument("--seed", type=int, default=None, help="training seed (default: the preset's)")
     p.add_argument("name", choices=[name.replace("_", "-") for name in EXPERIMENT_NAMES])
     p.add_argument("--sigma", type=float, default=None, help="derivative noise std (default: the preset's)")
     p.add_argument("--radius", type=int, default=None, help="learned stencil radius (default: the preset's)")
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.config is not None and args.command != "experiment":
-            # the file's entries become the subcommand's defaults: flag > file > built-in
-            args.parser.set_defaults(**_config_defaults(args))
-            args = parser.parse_args(argv)
-        missing = [a for a in args.parser._actions if a.dest in _REQUIRED and getattr(args, a.dest) is None]
+        if args.settings is None:
+            return args.func(args)
+        # a flag beats the config file, which beats the default
+        config = _load_config(args.config)
+        flags = {f.name: getattr(args, f.name) for f in fields(args.settings) if hasattr(args, f.name)}
+        s = merge(merge(args.settings(), config), flags)
+        missing = [f"--{f.name}" for f in fields(s) if f.name in _REQUIRED and getattr(s, f.name) is None]
         if missing:
-            args.parser.error(f"the following arguments are required: {', '.join(a.option_strings[0] for a in missing)}")
-        return args.func(args)
+            args.parser.error(f"the following arguments are required: {', '.join(missing)}")
+        if isinstance(s, LearnSettings):
+            unread = [key for key in {**config, **flags} if key not in s.settings()]
+            if unread:
+                raise ValueError(f"learn --method {s.method} does not read setting(s): {', '.join(unread)}")
+        return args.func(s)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -55,6 +55,8 @@ def _fits(hint, value) -> bool:
     for a float, a list for a tuple and a string for a Path."""
     if isinstance(hint, UnionType):
         return any(_fits(arg, value) for arg in get_args(hint))
+    if get_origin(hint) is Literal:
+        return value in get_args(hint)
     if get_origin(hint) is tuple:
         return isinstance(value, (list, tuple)) and all(_fits(get_args(hint)[0], v) for v in value)
     if isinstance(value, bool):  # a JSON true is a Python int
@@ -85,11 +87,12 @@ def merge(base, changes: dict):
     """Copy of the dataclass instance `base` with `changes` applied. A dict
     given for a dataclass field is merged into that field, so a nested
     change keeps the other nested values; anything but a dict there is
-    rejected, and so is a value that does not fit its field's type. An
-    int given for a float field is stored as a float, as the defaults are.
-    Raises ValueError naming every unknown key by its dotted path (e.g.
-    training.grid.M). On an ExperimentConfig it also rejects a new name
-    and every setting the preset does not read."""
+    rejected, and so is a value that does not fit its field's type (for a
+    Literal: one of its values). An int given for a float field is stored
+    as a float, as the defaults are. Raises ValueError naming every unknown
+    key by its dotted path (e.g. training.grid.M). On an ExperimentConfig
+    it also rejects a new name and every setting the preset does not read.
+    The CLI fills its flat subcommands' settings with it, too."""
     unknown = _unknown_keys(base, changes)
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")

@@ -329,14 +329,24 @@ def solve_reference(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOpti
     return _report(REFERENCE, a, [([objective], [_W_NORM * math.sqrt(a @ a)], [time.perf_counter() - t0])], "exact")
 
 
-_SOLVERS = {PG: solve_pg, NAG: solve_nag, ADMM: solve_admm, REFERENCE: solve_reference}
+# each method's solver and the SolverOptions fields it reads
+_SOLVERS = {PG: (solve_pg, ("max_iters", "tol")), NAG: (solve_nag, ("max_iters", "tol")),
+            ADMM: (solve_admm, ("max_iters", "tol", "rho")), REFERENCE: (solve_reference, ())}
+
+
+def _solver(method: str) -> tuple:
+    """The _SOLVERS entry of a method name (case-insensitive; 'ref' is accepted)."""
+    key = REFERENCE if method.upper() == "REF" else method.upper()
+    if key not in _SOLVERS:
+        raise ValueError(f"unknown solver '{method}'; choose from pg, nag, admm, ref")
+    return _SOLVERS[key]
+
+
+def options_read(method: str) -> tuple[str, ...]:
+    """The SolverOptions fields the method reads."""
+    return _solver(method)[1]
 
 
 def solve(method: str, sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = SolverOptions()) -> SolverReport:
     """Dispatch by method name (case-insensitive; 'ref' is accepted)."""
-    key = method.upper()
-    if key == "REF":
-        key = REFERENCE
-    if key not in _SOLVERS:
-        raise ValueError(f"unknown solver '{method}'; choose from pg, nag, admm, ref")
-    return _SOLVERS[key](sys, cs, opts)
+    return _solver(method)[0](sys, cs, opts)

@@ -161,7 +161,6 @@ class TestConfigFile:
         assert proc.returncode == 0
         assert "7 samples" in proc.stdout
 
-
     @pytest.mark.parametrize("argv", [
         ("gen-data",),
         ("learn", "--method", "admm"),
@@ -177,11 +176,11 @@ class TestConfigFile:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config, message", [
-        ({"n_sims": 12.5}, "error: config key n_sims: invalid value 12.5"),
-        ({"n_sims": None}, "error: config key n_sims: invalid value null"),
-        ({"sigma": "lots"}, 'error: config key sigma: invalid value "lots"'),
-        ({"grid_n": [64, 128]}, "error: config key grid_n: invalid value [64, 128]"),
-        ({"m_max": {"value": 3}}, 'error: config key m_max: invalid value {"value": 3}'),
+        ({"n_sims": 12.5}, "error: config key n_sims: invalid value 12.5 (expected int)"),
+        ({"n_sims": None}, "error: config key n_sims: invalid value None (expected int)"),
+        ({"sigma": "lots"}, "error: config key sigma: invalid value 'lots' (expected float)"),
+        ({"grid_n": [64, 128]}, "error: config key grid_n: invalid value [64, 128] (expected int)"),
+        ({"m_max": {"value": 3}}, "error: config key m_max: invalid value {'value': 3} (expected int)"),
     ])
     def test_wrong_value_type_is_two(self, tmp_path, config, message):
         (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -207,7 +206,7 @@ class TestConfigFile:
         proc = run_cli("simulate", "--stencil", str(tmp_path / "s.json"), "--config", str(tmp_path / "cfg.json"),
                        "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
-        assert proc.stderr.strip() == 'error: config key engine: invalid value "analog"'
+        assert proc.stderr.strip() == "error: config key engine: invalid value 'analog' (expected Literal['dense', 'spectral'])"
 
     @pytest.mark.parametrize("seed", [(), ("--seed", "3")])
     def test_experiment_non_object_for_nested_config_is_two(self, tmp_path, seed):
@@ -237,22 +236,6 @@ class TestConfigFile:
         assert (config["lam"], config["training"]["noise_std"]) == (1.0, 0.0)
         assert type(config["lam"]) is type(config["training"]["noise_std"]) is float
 
-    def test_file_key_reaches_simulate_and_flag_beats_it(self, tmp_path):
-        save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
-        (tmp_path / "cfg.json").write_text(json.dumps({"steps": 10}))
-
-        def run(*flags):
-            out = tmp_path / f"out{len(flags)}"
-            proc = run_cli("simulate", "--stencil", str(tmp_path / "s.json"), "--config", str(tmp_path / "cfg.json"),
-                           "--out", str(out), *flags)
-            assert proc.returncode == 0, proc.stderr
-            with open(out / "energy.csv") as fh:
-                rows = len(list(csv.DictReader(fh)))
-            return rows, json.loads((out / "manifest.json").read_text())["config"]["steps"]
-
-        assert run() == (11, 10)
-        assert run("--steps", "4") == (5, 4)
-
     def test_file_gives_method_and_flag_beats_it(self, tmp_path, data_file):
         (tmp_path / "cfg.json").write_text(json.dumps({"method": "nag", "max_iters": 3, "data": str(data_file)}))
 
@@ -263,7 +246,12 @@ class TestConfigFile:
             return json.loads((out / "manifest.json").read_text())["solves"]
 
         assert solves() == {"nag": {"method": "NAG", "iterations": 3, "stop_reason": "max_iters"}}
-        assert solves("--method", "ref") == {"ref": {"method": "REFERENCE", "iterations": 1, "stop_reason": "exact"}}
+        assert solves("--method", "admm") == {"admm": {"method": "ADMM", "iterations": 3, "stop_reason": "max_iters"}}
+        # the reference solve reads no max_iters
+        proc = run_cli("learn", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "ref"), "--method", "ref")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: learn --method ref does not read setting(s): max_iters\n"
+        assert not (tmp_path / "ref").exists()
 
     @pytest.mark.parametrize("command", ["simulate", "dispersion"])
     def test_file_gives_stencil_and_flag_beats_it(self, tmp_path, command):
@@ -292,6 +280,109 @@ class TestConfigFile:
         assert proc.returncode == 2
         assert proc.stderr.strip().splitlines()[-1] == f"stencil-lab {command}: error: the following arguments are required: {option}"
         assert not (tmp_path / "out").exists()
+
+
+# the flat subcommands and their settings classes
+_FLAT = {"gen-data": cli.GenDataSettings, "learn": cli.LearnSettings, "simulate": cli.SimulateSettings,
+         "dispersion": cli.DispersionSettings}
+
+# a value of each flat setting but out, data and stencil, and another that the flag's value beats in the file
+_SAMPLES = {
+    "seed": (3, 4), "n_sims": (12, 7), "m_max": (3, 2), "grid_n": (32, 48), "length": (2.0, 0.5), "sigma": (0.1, 0.2),
+    "amplitude_std": (2.0, 0.5), "radius": (2, 3), "lam": (1e-5, 1e-4), "box": (50.0, 60.0), "rho": (0.1, 0.2),
+    "max_iters": (3, 5), "tol": (1e-8, 1e-9), "method": ("nag", "pg"), "dt_ratio": (0.25, 0.4), "steps": (10, 4),
+    "snapshot_every": (5, 7), "engine": ("spectral", "dense"), "samples": (16, 32),
+}
+
+# the SolverOptions fields each learn method reads
+_READS = {"pg": ("max_iters", "tol"), "nag": ("max_iters", "tol"), "admm": ("max_iters", "tol", "rho"), "ref": ()}
+
+
+def _check_outputs(command, key, value, root, stdout):
+    """What a run's own outputs show of the setting, for the settings whose outputs a test reads."""
+    if command == "gen-data" and key in ("n_sims", "m_max"):
+        with np.load(root / "training_data.npz") as data:
+            assert int(data[key]) == value
+        assert key != "n_sims" or f"{value} samples" in stdout
+    if (command, key) == ("simulate", "steps"):
+        with open(root / "energy.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == value + 1
+
+
+class TestSettings:
+    """Each field of a flat subcommand's settings class is a flag and a config key."""
+
+    @pytest.mark.parametrize("command, key", [
+        pytest.param(command, f.name, id=f"{command}-{f.name}")
+        for command, settings in _FLAT.items() for f in fields(settings)
+    ])
+    def test_flag_and_file_agree_and_flag_beats_it(self, tmp_path, capsys, data_file, command, key):
+        save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
+        samples = {**_SAMPLES, "out": (tmp_path / "set", tmp_path / "unused"), "data": (data_file, tmp_path / "unused.npz"),
+                   "stencil": (tmp_path / "s.json", tmp_path / "unused.json")}
+        value, other = samples[key]
+        required = {"learn": {"method": "admm", "data": data_file}}.get(command, {"stencil": tmp_path / "s.json"})
+        given = {**(required if command != "gen-data" else {}), "out": tmp_path / "out"}
+        base = [arg for name, v in given.items() if name != key for arg in (f"--{name}", str(v))]
+        out = value if key == "out" else tmp_path / "out"
+
+        def config(flags, file):
+            (tmp_path / "cfg.json").write_text(json.dumps(file, default=str))
+            assert cli.main([command, *base, *flags, "--config", str(tmp_path / "cfg.json")]) == 0
+            _check_outputs(command, key, value, out, capsys.readouterr().out)
+            return json.loads((out / "manifest.json").read_text())["config"]
+
+        flag = [f"--{key.replace('_', '-')}", str(value)]
+        from_file = config([], {key: value})
+        assert from_file[key] == json.loads(json.dumps(value, default=str))
+        assert config(flag, {}) == from_file
+        assert config(flag, {key: other}) == from_file
+        assert not (tmp_path / "unused").exists()
+
+    @pytest.mark.parametrize("method, key, given", [
+        pytest.param(method, key, given, id=f"{given}-{method}-{key}")
+        for method, reads in _READS.items() for key in ("max_iters", "tol", "rho") if key not in reads
+        for given in ("flag", "file")
+    ])
+    def test_setting_the_method_does_not_read_is_two(self, tmp_path, capsys, method, key, given):
+        value = _SAMPLES[key][0]
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value} if given == "file" else {}))
+        flags = [f"--{key.replace('_', '-')}", str(value)] if given == "flag" else []
+        # the data file does not exist: learn checks its settings before it reads the data
+        argv = ["learn", "--method", method, "--data", str(tmp_path / "none.npz"), *flags]
+        assert cli.main([*argv, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: learn --method {method} does not read setting(s): {key}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", list(_READS))
+    def test_manifest_holds_the_settings_the_method_reads(self, tmp_path, data_file, method):
+        assert cli.main(["learn", "--method", method, "--data", str(data_file), "--out", str(tmp_path)]) == 0
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        unread = {"max_iters", "tol", "rho"}.difference(_READS[method])
+        assert list(config) == [f.name for f in fields(cli.LearnSettings) if f.name not in unread]
+
+    def test_number_as_string_is_two(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"steps": "10"}))
+        proc = run_cli("simulate", "--stencil", "s.json", "--config", str(tmp_path / "cfg.json"),
+                       "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: config key steps: invalid value '10' (expected int)\n"
+
+    @pytest.mark.parametrize("command", list(_FLAT))
+    def test_help_lists_exactly_the_settings(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        # one entry per option: its first flag, then its help with the line breaks taken out
+        entries = re.split(r"\n  (?=-)", capsys.readouterr().out.split("\noptions:\n")[1])
+        helps = {entry.split()[0].rstrip(","): " ".join(entry.split()) for entry in entries}
+        settings = {f"--{f.name.replace('_', '-')}": f for f in fields(_FLAT[command])}
+        assert set(helps) == {"-h", "--config", *settings}
+        for flag, f in settings.items():
+            if f.name in ("method", "data", "stencil"):
+                assert helps[flag].endswith("(required, as a flag or a config key)")
+            else:
+                assert helps[flag].endswith(f"(default {'per method' if f.default is None else f.default})")
 
 
 class TestExitCodes:
