@@ -4,8 +4,8 @@
     stencil-lab learn       learn a stencil from a training-data file
     stencil-lab simulate    Crank-Nicolson run for a saved stencil
     stencil-lab dispersion  symbol and CN dispersion curves for a stencil
-    stencil-lab experiment  scripted presets (table1, convergence, energy,
-                            dispersion, nonstandard, noisy, solver-bench)
+    stencil-lab experiment  scripted presets (table1, convergence, dispersion,
+                            nonstandard, noisy)
 
 Global flags: --config FILE (JSON overrides), --out DIR. Each subcommand
 takes only the settings it reads: --seed belongs to gen-data and
@@ -175,6 +175,8 @@ def _cmd_simulate(s: SimulateSettings) -> int:
         raise ValueError(f"length {s.length} is not a whole number of stencil cells (dx={stencil.dx})")
     grid = Grid1D(N=n, L=s.length)
     dt = s.dt_ratio * grid.dx
+    if not (isfinite(dt) and dt > 0):  # SimConfig also runs backward in time, which simulate does not offer
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     kinds = ("energy", "final_field", "spacetime") if s.snapshot_every else ("energy", "final_field")
     sim_cfg = SimConfig(dt=dt, n_steps=s.steps, grid=grid, stencil=stencil)
     result = simulate_csvs(run, sim_cfg, kinds, snapshot_every=s.snapshot_every or None, engine=s.engine)

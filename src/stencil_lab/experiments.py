@@ -1,6 +1,7 @@
-"""Scripted experiment presets: stencil comparison table, convergence
-study, energy-conservation and dispersion figure data, nonstandard
-operator recovery, noisy-training stress test, and the solver benchmark.
+"""Scripted experiment presets: the solver comparison table (with each
+stencil's energy-conservation series and the solvers' objective traces),
+convergence study, dispersion figure data, nonstandard operator recovery,
+and noisy-training stress test.
 
 Every runner is deterministic given its seed and returns its report as a
 dict. Its RunDir formats the CSV and JSON files and records each file
@@ -299,39 +300,40 @@ def _energy_drift(result: SimResult) -> float:
 def run_table1(cfg: ExperimentConfig) -> dict:
     """Learn the radius-R stencil with all four solvers on identical data,
     then compare coefficients, the final-time field error against the run
-    of the order-2R centered difference, and the constraint residual."""
+    of the order-2R centered difference, the constraint residual, and the
+    energy drift of each stencil's runs at dt and at 2 dt, whose series go
+    to energy_{label}.csv and energy_{label}_dt2x.csv. When every solve
+    succeeds, the report also compares the solvers' objective traces, and
+    after the files are written it raises NumericalError unless NAG reaches
+    PG's final objective in fewer iterations and ADMM's first iterate beats
+    NAG's 20th."""
     run = _preset_run(cfg)
     grid = cfg.training.grid
     ts = generate_training_set(cfg.training)
     system = assemble_regression(ts, R=cfg.radius, lam=cfg.lam, M=cfg.box_bound)
     cs = build_skew_constraints(cfg.radius)
 
-    exact = centered_difference_stencil(grid, cfg.radius)
-    reference_run = simulate_csvs(run, cfg.sim_config(exact))
-
-    rows = []
+    rows, drifts, finals, reports = [], {}, {}, {}
     offsets = [f"w_{l:+d}" if l else "w_0" for l in range(-cfg.radius, cfg.radius + 1)]
 
-    def add_row(label: str, stencil: Stencil | None, status: str = "ok", result: SimResult | None = None):
-        row: dict = {"method": label, "status": status}
-        if stencil is None:
-            row.update(dict.fromkeys([*offsets, "err", "r_eq"], ""))
-        else:
-            row.update(dict(zip(offsets, (float(v) for v in stencil.w))))
-            if result is None:
-                result = simulate_csvs(run, cfg.sim_config(stencil))
-            row["err"] = relative_l2_error(result.final.E, reference_run.final.E, grid)
-            row["r_eq"] = cs.residual(stencil.w)
-            row["energy_drift"] = _energy_drift(result)
-        rows.append(row)
+    def add_row(label: str, stencil: Stencil):
+        results = {tag: simulate_csvs(run, cfg.sim_config(stencil, ratio), ("energy",), f"_{label}{tag}")
+                   for tag, ratio in (("", cfg.dt_ratio), ("_dt2x", 2 * cfg.dt_ratio))}
+        drifts.update({label + tag: _energy_drift(result) for tag, result in results.items()})
+        finals[label] = results[""].final.E
+        rows.append({
+            "method": label, "status": "ok", **dict(zip(offsets, (float(v) for v in stencil.w))),
+            "err": relative_l2_error(finals[label], finals["exact_fd"], grid),
+            "r_eq": cs.residual(stencil.w), "energy_drift": drifts[label],
+        })
 
-    add_row("exact_fd", exact, result=reference_run)
+    add_row("exact_fd", centered_difference_stencil(grid, cfg.radius))
     for method in (PG, NAG, ADMM, REFERENCE):
         label = method.lower()
         try:
-            report = run.record(label, solve(method, system, cs, cfg.solver_opts))
+            reports[method] = report = run.record(label, solve(method, system, cs, cfg.solver_opts))
         except NumericalError as exc:
-            add_row(label, None, status=f"failed: {exc}")
+            rows.append({"method": label, "status": f"failed: {exc}", **dict.fromkeys([*offsets, "err", "r_eq"], "")})
             continue
         stencil = Stencil(w=report.w_final, dx=grid.dx)
         add_row(label, stencil)
@@ -342,31 +344,39 @@ def run_table1(cfg: ExperimentConfig) -> dict:
     columns = ["method", "status", *offsets, "err", "r_eq", "energy_drift"]
     run.write_csv("table1.csv", columns, ([row.get(c) for c in columns] for row in rows))
 
-    report = {"rows": rows, "system_shape": [system.rows, system.n_coeffs]}
+    comparison = _solver_comparison(reports) if len(reports) == 4 else {}
+    report = {"rows": rows, "system_shape": [system.rows, system.n_coeffs],
+              "relative_energy_drift": drifts, "n_steps": cfg.n_steps, "dt_ratio": cfg.dt_ratio, **comparison}
     run.finish(report)
+
+    if comparison:
+        nag_reaches_pg = comparison["nag_reaches_pg_final_at_iteration"]
+        if nag_reaches_pg is None or nag_reaches_pg >= comparison["pg_iterations"]:
+            raise NumericalError("solver benchmark: NAG failed to reach PG's final objective in fewer iterations")
+        if comparison["admm_first_iterate_objective"] > comparison["nag_20th_iterate_objective"]:
+            raise NumericalError("solver benchmark: ADMM's first iterate did not beat NAG's 20th iterate")
     return report
 
 
-def run_energy(cfg: ExperimentConfig) -> dict:
-    """Energy series under Crank-Nicolson for the exact stencil and each
-    learned stencil, at the standard time step and with it doubled."""
-    run = _preset_run(cfg)
-    ts = generate_training_set(cfg.training)
-
-    stencils = {"exact_fd": centered_difference_stencil(cfg.training.grid)}
-    for method in (PG, NAG, ADMM, REFERENCE):
-        stencils[method.lower()], report = learn_stencil(ts, cfg.radius, method, cfg.lam, cfg.box_bound, cfg.solver_opts)
-        run.record(method.lower(), report)
-
-    drifts = {}
-    for label, stencil in stencils.items():
-        for tag, ratio in (("", cfg.dt_ratio), ("_dt2x", 2 * cfg.dt_ratio)):
-            result = simulate_csvs(run, cfg.sim_config(stencil, ratio), ("energy",), f"_{label}{tag}")
-            drifts[f"{label}{tag}"] = _energy_drift(result)
-
-    report = {"relative_energy_drift": drifts, "n_steps": cfg.n_steps, "dt_ratio": cfg.dt_ratio}
-    run.finish(report)
-    return report
+def _solver_comparison(reports: dict[str, SolverReport]) -> dict:
+    """The objective traces of PG, NAG and ADMM against each other and
+    against the reference solve's optimum."""
+    f_ref = float(reports[REFERENCE].objective_trace[-1])
+    pg, nag, admm = reports[PG], reports[NAG], reports[ADMM]
+    crossing = np.nonzero(nag.objective_trace <= float(pg.objective_trace[-1]))[0]
+    admm_first = float(admm.objective_trace[0])
+    return {
+        "final_objectives": {m: float(r.objective_trace[-1]) for m, r in reports.items()},
+        "iterations": {m: r.iterations for m, r in reports.items()},
+        "reference_objective": f_ref,
+        "nag_reaches_pg_final_at_iteration": int(crossing[0]) + 1 if crossing.size else None,
+        "pg_iterations": pg.iterations,
+        "admm_first_iterate_objective": admm_first,
+        "admm_first_iterate_relative_gap": (admm_first - f_ref) / f_ref,
+        "nag_20th_iterate_objective": float(nag.objective_trace[min(nag.iterations, 20) - 1]),  # its last, if fewer
+        "pg_monotone": bool(np.all(np.diff(pg.objective_trace) <= 1e-14 * np.maximum(1.0, np.abs(pg.objective_trace[1:])))),
+        "nag_non_monotone_steps": int(np.sum(np.diff(nag.objective_trace) > 0.0)),
+    }
 
 
 def run_dispersion(cfg: ExperimentConfig) -> dict:
@@ -501,47 +511,6 @@ def run_noisy(cfg: ExperimentConfig) -> dict:
     return report
 
 
-def run_solver_bench(cfg: ExperimentConfig) -> dict:
-    """Convergence-trace comparison of PG, NAG, and ADMM on the identical
-    system, with the reference solve as the optimality baseline."""
-    run = _preset_run(cfg)
-    ts = generate_training_set(cfg.training)
-    system = assemble_regression(ts, R=cfg.radius, lam=cfg.lam, M=cfg.box_bound)
-    cs = build_skew_constraints(cfg.radius)
-
-    reports = {m: run.record(m.lower(), solve(m, system, cs, cfg.solver_opts)) for m in (PG, NAG, ADMM, REFERENCE)}
-    for method, rep in reports.items():
-        run.write_trace(f"trace_{method.lower()}.csv", rep)
-
-    f_ref = float(reports[REFERENCE].objective_trace[-1])
-    pg, nag, admm = reports[PG], reports[NAG], reports[ADMM]
-    pg_final = float(pg.objective_trace[-1])
-    crossing = np.nonzero(nag.objective_trace <= pg_final)[0]
-    nag_reaches_pg = int(crossing[0]) + 1 if crossing.size else None
-    admm_first = float(admm.objective_trace[0])
-    nag_20 = float(nag.objective_trace[19]) if nag.iterations >= 20 else float(nag.objective_trace[-1])
-
-    report = {
-        "final_objectives": {m: float(r.objective_trace[-1]) for m, r in reports.items()},
-        "iterations": {m: r.iterations for m, r in reports.items()},
-        "reference_objective": f_ref,
-        "nag_reaches_pg_final_at_iteration": nag_reaches_pg,
-        "pg_iterations": pg.iterations,
-        "admm_first_iterate_objective": admm_first,
-        "admm_first_iterate_relative_gap": (admm_first - f_ref) / f_ref,
-        "nag_20th_iterate_objective": nag_20,
-        "pg_monotone": bool(np.all(np.diff(pg.objective_trace) <= 1e-14 * np.maximum(1.0, np.abs(pg.objective_trace[1:])))),
-        "nag_non_monotone_steps": int(np.sum(np.diff(nag.objective_trace) > 0.0)),
-    }
-    run.finish(report)
-
-    if nag_reaches_pg is None or nag_reaches_pg >= pg.iterations:
-        raise NumericalError("solver benchmark: NAG failed to reach PG's final objective in fewer iterations")
-    if admm_first > nag_20:
-        raise NumericalError("solver benchmark: ADMM's first iterate did not beat NAG's 20th iterate")
-    return report
-
-
 # Each preset's runner, and the settings it reads besides _COMMON_SETTINGS,
 # with their defaults. noisy also trains on noisy data: its noise_std is
 # tuned so the unconstrained stencil blows up by many orders of magnitude
@@ -549,12 +518,10 @@ def run_solver_bench(cfg: ExperimentConfig) -> dict:
 PRESETS = {
     "table1": (run_table1, {"radius": 1, "dt_ratio": 0.5, "n_steps": 300}),
     "convergence": (run_convergence, {"radius": 1, "dt_ratio": 0.2, "resolutions": (64, 128, 256, 512), "t_final": 10.0}),
-    "energy": (run_energy, {"radius": 1, "dt_ratio": 0.5, "n_steps": 300}),
     "dispersion": (run_dispersion, {"radius": 1, "dt_ratio": 0.5}),
     "nonstandard": (run_nonstandard, {"dt_ratio": 0.5, "n_steps": 300}),
     "noisy": (run_noisy, {"training": replace(default_training_config(), noise_std=0.05),
                           "radius": 3, "dt_ratio": 0.5, "n_steps": 300, "snapshot_every": 5}),
-    "solver_bench": (run_solver_bench, {"radius": 1}),
 }
 
 EXPERIMENT_NAMES = tuple(PRESETS)

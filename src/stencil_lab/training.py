@@ -35,6 +35,8 @@ class TrainingConfig:
     noise_std: float = 0.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_sims < 1:
             raise ValueError(f"n_sims must be >= 1, got {self.n_sims}")
         if not 1 <= self.m_max < self.grid.N / 2:

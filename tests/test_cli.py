@@ -104,7 +104,7 @@ class TestPipeline:
         assert float(rows[1]["error"]) < float(rows[0]["error"])
 
     def test_experiment_solver_bench(self, workdir):
-        proc = run_cli("experiment", "solver-bench", "--out", str(workdir / "bench"))
+        proc = run_cli("experiment", "table1", "--out", str(workdir / "bench"))
         assert proc.returncode == 0, proc.stderr
         assert (workdir / "bench" / "manifest.json").exists()
         # NAG stops at its 500-iteration cap on the default problem
@@ -223,7 +223,7 @@ class TestConfigFile:
     ])
     def test_experiment_wrong_value_type_is_two(self, tmp_path, config, message):
         (tmp_path / "cfg.json").write_text(json.dumps(config))
-        proc = run_cli("experiment", "energy", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"))
+        proc = run_cli("experiment", "table1", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert proc.stderr.strip() == message
         assert not (tmp_path / "out").exists()
@@ -553,6 +553,22 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.strip() == f"error: {message}"
 
+    # simulate does not run backward in time, as dispersion does not
+    @pytest.mark.parametrize("argv", [["simulate", "--steps", "3"], ["dispersion"]], ids=["simulate", "dispersion"])
+    def test_negative_dt_is_two(self, tmp_path, argv):
+        save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
+        proc = run_cli(*argv, "--stencil", str(tmp_path / "s.json"), "--dt-ratio", "-0.5", "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == "error: dt must be positive and finite, got -0.0078125"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["gen-data"], ["experiment", "dispersion"]], ids=["gen-data", "experiment"])
+    def test_negative_seed_is_two(self, tmp_path, argv):
+        proc = run_cli(*argv, "--seed", "-1", "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == "error: seed must be nonnegative, got -1"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("content", [b"hello\n", np.zeros(3).tobytes()], ids=["text", "raw-floats"])
     def test_training_file_not_npz_is_two(self, tmp_path, content):
         path = tmp_path / "notnpz.npz"
@@ -644,6 +660,15 @@ class TestExperimentFlags:
         proc = run_cli("experiment", preset, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert proc.stderr.strip() == f"error: unknown config key(s): {key}"
+        assert not (tmp_path / "out").exists()
+
+    # table1 runs what these presets ran
+    @pytest.mark.parametrize("name", ["energy", "solver-bench"])
+    def test_removed_preset_is_two(self, tmp_path, capsys, name):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["experiment", name, "--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert f"argument name: invalid choice: '{name}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, config, message", [

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stencil_lab import experiments
-from stencil_lab.core import Stencil, centered_difference_stencil
+from stencil_lab.core import NumericalError, Stencil, centered_difference_stencil
 from stencil_lab.experiments import (
     DEFAULT_SEED,
     EXPERIMENT_NAMES,
@@ -24,11 +24,9 @@ from stencil_lab.experiments import (
     merge,
     nonstandard_target,
     run_dispersion,
-    run_energy,
     run_experiment,
     run_noisy,
     run_nonstandard,
-    run_solver_bench,
     run_table1,
 )
 from stencil_lab.regression import build_skew_constraints
@@ -87,7 +85,7 @@ def test_table1_runs_each_stencil_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiments, "simulate", counting)
     run_table1(ExperimentConfig(name="table1", output_dir=tmp_path))
-    assert len(calls) == 5  # the exact stencil, then one per solver
+    assert len(calls) == 10  # the exact stencil, then one per solver, each at dt and at 2 dt
 
 
 class TestDeterminism:
@@ -97,6 +95,7 @@ class TestDeterminism:
         run_table1(ExperimentConfig(name="table1", output_dir=a))
         run_table1(ExperimentConfig(name="table1", output_dir=b))
         assert (a / "table1.csv").read_bytes() == (b / "table1.csv").read_bytes()
+        assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
         # trace CSVs carry wall-clock columns and are not compared
 
     def test_noisy_energy_outputs_identical(self, tmp_path):
@@ -188,9 +187,8 @@ class TestNoisy:
 
 
 class TestEnergyAndDispersion:
-    def test_energy_drifts(self, tmp_path):
-        cfg = ExperimentConfig(name="energy", output_dir=tmp_path / "energy")
-        report = run_energy(cfg)
+    def test_energy_drifts(self, table1):
+        cfg, report = table1
         for label, drift in report["relative_energy_drift"].items():
             assert drift <= 1e-10, label
         assert (cfg.output_dir / "energy_exact_fd.csv").exists()
@@ -223,15 +221,30 @@ class TestRadius3:
 
 
 class TestSolverBench:
-    def test_assertions_hold(self, tmp_path):
-        cfg = ExperimentConfig(name="solver_bench", output_dir=tmp_path / "bench")
-        report = run_solver_bench(cfg)
+    def test_assertions_hold(self, table1):
+        cfg, report = table1
         assert report["nag_reaches_pg_final_at_iteration"] < report["pg_iterations"]
         assert report["admm_first_iterate_objective"] <= report["nag_20th_iterate_objective"]
         assert abs(report["admm_first_iterate_relative_gap"]) <= 1e-6
         assert report["nag_non_monotone_steps"] >= 1
         for method in ("pg", "nag", "admm", "reference"):
             assert (cfg.output_dir / f"trace_{method}.csv").exists()
+
+    def test_failed_solve_skips_the_comparison(self, tmp_path, monkeypatch):
+        real_solve = experiments.solve
+
+        def solve(method, *args):
+            if method == "NAG":
+                raise NumericalError("NAG diverged")
+            return real_solve(method, *args)
+
+        monkeypatch.setattr(experiments, "solve", solve)
+        report = run_table1(ExperimentConfig(name="table1", output_dir=tmp_path))
+        rows = {row["method"]: row for row in report["rows"]}
+        assert rows["nag"]["status"] == "failed: NAG diverged"
+        assert all(rows[m]["status"] == "ok" for m in ("exact_fd", "pg", "admm", "reference"))
+        assert set(report) == {"rows", "system_shape", "relative_energy_drift", "n_steps", "dt_ratio"}
+        assert not (tmp_path / "energy_nag.csv").exists()
 
 
 @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
@@ -331,17 +344,15 @@ class TestConfig:
 
     # (radius, dt_ratio, training.noise_std) each preset runs with by default;
     # a setting the preset does not read stays None: nonstandard learns its
-    # radius-2 target, and solver_bench simulates nothing
+    # radius-2 target
     @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
     def test_preset_defaults(self, name):
         expected = {
             "table1": (1, 0.5, 0.0),
             "convergence": (1, 0.2, 0.0),
-            "energy": (1, 0.5, 0.0),
             "dispersion": (1, 0.5, 0.0),
             "nonstandard": (None, 0.5, 0.0),
             "noisy": (3, 0.5, 0.05),
-            "solver_bench": (1, None, 0.0),
         }[name]
         cfg = ExperimentConfig(name=name)
         assert (cfg.radius, cfg.dt_ratio, cfg.training.noise_std) == expected
