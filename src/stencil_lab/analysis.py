@@ -1,5 +1,6 @@
 """Fourier-symbol diagnostics, wave speed and CFL bound, Crank-Nicolson
-dispersion curves, modal energies, and the spatial convergence harness.
+dispersion curves, modal energies on the rfft modes (core.rfft_modes),
+and the spatial convergence harness.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FieldPair, Grid1D, Stencil, fourier_symbol, real_fft
+from .core import FieldPair, Grid1D, Stencil, fourier_symbol, rfft_modes
 from .simulate import SimConfig, cn_multiplier, relative_l2_error, simulate, traveling_wave_exact
 
 
@@ -89,14 +90,16 @@ def cn_reference_phase_ratio(dt: float, dx: float, thetas: np.ndarray) -> np.nda
 
 
 def modal_energies(f: FieldPair, grid: Grid1D) -> np.ndarray:
-    """(dx/2) (|E_hat|^2 + |H_hat|^2) per discrete Fourier mode, with
-    unitary-normalized transforms so the modal energies sum to the total
-    discrete energy."""
+    """weight (dx/2) (|E_hat|^2 + |H_hat|^2) per rfft mode, with
+    rfft_modes' Parseval weights and unitary transforms, so the N//2 + 1
+    modal energies sum to the discrete energy. The 1/sqrt(N) is rounded
+    from long double, as pocketfft does, so entry k is bit for bit scipy's
+    ortho energy of mode k plus that of its conjugate twin N - k."""
     if f.N != grid.N:
         raise ValueError(f"fields have length {f.N}, grid has N={grid.N}")
-    Ef = real_fft(f.E, ortho=True)
-    Hf = real_fft(f.H, ortho=True)
-    return 0.5 * grid.dx * (np.abs(Ef) ** 2 + np.abs(Hf) ** 2)
+    scale = float(1 / np.sqrt(np.longdouble(grid.N)))
+    Ef, Hf = np.fft.rfft(f.E) * scale, np.fft.rfft(f.H) * scale
+    return rfft_modes(grid.N)[1] * (0.5 * grid.dx) * (np.abs(Ef) ** 2 + np.abs(Hf) ** 2)
 
 
 def convergence_study(

@@ -1,7 +1,8 @@
 """Grids, convolution stencils, inner products, and discrete field energy.
 
 Everything downstream (regression, solvers, time stepping, analysis) is
-built on the periodic convolution operators defined here.
+built on the periodic convolution operators and the rfft modes
+(rfft_modes: their angles and Parseval weights) defined here.
 
 Index convention: a stencil of radius R stores its 2R+1 coefficients for
 offsets l = -R..R at array positions 0..2R, so ``w[R + l]`` is the
@@ -165,16 +166,14 @@ def fourier_symbol(stencil: Stencil, thetas: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.outer(thetas, stencil.offsets)) @ stencil.w
 
 
-def real_fft(u: np.ndarray, ortho: bool = False) -> np.ndarray:
-    """Full DFT of a real vector, bit-identical to scipy.fft.fft(u) (or to
-    its norm="ortho" form): numpy's rfft plus the Hermitian fill, with the
-    1/sqrt(N) factor rounded from long double as pocketfft does."""
-    N = u.size
-    r = np.fft.rfft(u)
-    f = np.concatenate([r, np.conj(r[1:(N + 1) // 2][::-1])])
-    if ortho:
-        f *= float(1 / np.sqrt(np.longdouble(N)))
-    return f
+def rfft_modes(N: int, d: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The N//2 + 1 rfft modes of a real length-N signal: their angles
+    2 pi rfftfreq(N, d), per sample spacing d (so wavenumbers for d = dx),
+    and their Parseval weights, 2 for a mode k that stands for itself and
+    its conjugate twin N - k, and 1 for a mode that is its own twin (mode 0
+    and, at even N, the Nyquist mode). The weights sum to N."""
+    k = np.arange(N // 2 + 1)
+    return 2.0 * np.pi * np.fft.rfftfreq(N, d), np.where(2 * k % N == 0, 1.0, 2.0)
 
 
 def solve_refined(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -145,6 +145,8 @@ class ExperimentConfig:
         for key, value in {"training": default_training_config(), **PRESETS[self.name][1]}.items():
             if getattr(self, key) is None:
                 object.__setattr__(self, key, value)
+        if not (np.isfinite(self.dt_ratio) and self.dt_ratio > 0):  # every preset reads it
+            raise ValueError(f"dt_ratio must be positive and finite, got {self.dt_ratio}")
         if self.resolutions is not None:
             object.__setattr__(self, "resolutions", tuple(self.resolutions))
         object.__setattr__(self, "output_dir", Path(self.output_dir))

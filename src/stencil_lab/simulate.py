@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FieldPair, Grid1D, NumericalError, Stencil, circulant, discrete_energy, fourier_symbol, norm
+from .core import FieldPair, Grid1D, NumericalError, Stencil, circulant, discrete_energy, fourier_symbol, norm, rfft_modes
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,12 +80,12 @@ def cn_multiplier(mu: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _cn_symbol(cfg: SimConfig) -> np.ndarray:
-    """The stencil's symbol at the grid's Fourier angles 0..pi, the
-    eigenvalues of D on the rfft modes; a real stencil has
+    """The stencil's symbol at the angles 0..pi of the grid's rfft modes
+    (rfft_modes), the eigenvalues of D on those modes; a real stencil has
     mu(-theta) = conj mu(theta), which covers the other half. Raises
     NumericalError when a CN denominator 1 -+ dt mu/2 is zero, i.e. the
     CN system is singular."""
-    mu = fourier_symbol(cfg.stencil, 2.0 * np.pi * np.fft.rfftfreq(cfg.grid.N))
+    mu = fourier_symbol(cfg.stencil, rfft_modes(cfg.grid.N)[0])
     half_mu = 0.5 * cfg.dt * mu
     if np.any((half_mu == 1.0) | (half_mu == -1.0)):
         raise NumericalError("Crank-Nicolson system matrix is singular for this stencil and dt")
@@ -196,9 +196,7 @@ def _spectral(cfg: SimConfig, init: FieldPair, n: int, keep: set[int]) -> tuple[
     """Each chain in closed form on the N//2 + 1 rfft modes u of p or q:
     with m = cn_multiplier(+-mu), the state after k steps is m^k u, and
     its squared norm is (1/N) sum_theta weight_theta |m_theta|^(2k)
-    |u_theta|^2 (Parseval), where the weight 2 counts each interior mode's
-    conjugate twin (mode 0 and the Nyquist mode have weight 1). No step is
-    taken.
+    |u_theta|^2 (Parseval), with rfft_modes' weights. No step is taken.
 
     m is the float64 multiplier that stepping would apply. Its log |m|^2
     and arg m, and k arg m reduced mod 2 pi, are taken in extended
@@ -208,11 +206,7 @@ def _spectral(cfg: SimConfig, init: FieldPair, n: int, keep: set[int]) -> tuple[
     log |u|, so an exactly zero mode stays zero however fast m grows."""
     mu = _cn_symbol(cfg)
     N = cfg.grid.N
-    weight = np.full(N // 2 + 1, 2.0)
-    weight[0] = 1.0
-    if N % 2 == 0:
-        weight[-1] = 1.0  # the Nyquist mode is its own twin
-    log_weight = np.log(weight)
+    log_weight = np.log(rfft_modes(N)[1])
 
     def chain(sign: int, u: np.ndarray) -> Chain:
         m = cn_multiplier(sign * mu, cfg.dt)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Grid1D, Stencil, apply_stencil
+from .core import Grid1D, Stencil, apply_stencil, rfft_modes
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,13 @@ class TrainingSet:
 
 def spectral_derivative(u: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Differentiate periodic real signals along the last axis via the FFT:
-    ifft(i k fft(u)) with k = 2 pi m / L. The Nyquist mode (even N) has no
+    ifft(i k fft(u)) with k = 2 pi m / L, the rfft modes' angles per unit
+    length (rfft_modes with d = dx). The Nyquist mode (even N) has no
     well-defined odd derivative and is zeroed."""
     u = np.asarray(u, dtype=float)
     if u.shape[-1:] != (grid.N,):
         raise ValueError(f"u has shape {u.shape}, expected (..., {grid.N})")
-    k = 2.0 * np.pi * np.fft.rfftfreq(grid.N, d=grid.dx)
-    mult = 1j * k
+    mult = 1j * rfft_modes(grid.N, grid.dx)[0]
     if grid.N % 2 == 0:
         mult[-1] = 0.0
     return np.fft.irfft(mult * np.fft.rfft(u), n=grid.N)

@@ -1,8 +1,9 @@
 """Reference implementations the tests compare the library against: the
-dense operator matrix D, the full-space objective and its gradient, and
-the skew coordinates of a stencil (the skew projection). The library
-itself needs none of them; the solvers work in skew coordinates from the
-start."""
+dense operator matrix D, the full-space objective and its gradient, the
+skew coordinates of a stencil (the skew projection), and the full
+length-N DFT of a real vector. The library itself needs none of them;
+the solvers work in skew coordinates from the start, and the library's
+FFTs work on the rfft modes."""
 
 import numpy as np
 
@@ -20,6 +21,18 @@ def operator_matrix(stencil: Stencil, N: int) -> np.ndarray:
         col[l] = stencil.w[R - l]       # w_{-l}
         col[N - l] = stencil.w[R + l]   # w_{+l}
     return circulant(col)
+
+
+def real_fft(u: np.ndarray, ortho: bool = False) -> np.ndarray:
+    """Full DFT of a real vector, bit-identical to scipy.fft.fft(u) (or to
+    its norm="ortho" form): numpy's rfft plus the Hermitian fill, with the
+    1/sqrt(N) factor rounded from long double as pocketfft does."""
+    N = u.size
+    r = np.fft.rfft(u)
+    f = np.concatenate([r, np.conj(r[1:(N + 1) // 2][::-1])])
+    if ortho:
+        f *= float(1 / np.sqrt(np.longdouble(N)))
+    return f
 
 
 def objective_and_gradient(sys, w: np.ndarray) -> tuple[float, np.ndarray]:

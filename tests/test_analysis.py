@@ -3,7 +3,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stencil_lab.analysis import (
@@ -21,6 +21,7 @@ from stencil_lab.core import (
     Stencil,
     centered_difference_stencil,
     discrete_energy,
+    rfft_modes,
 )
 from stencil_lab.experiments import RunDir, dispersion_csvs
 from stencil_lab.simulate import SimConfig, simulate, single_mode_initial_condition
@@ -144,17 +145,33 @@ class TestDispersion:
 
 
 class TestModalEnergies:
-    def test_single_mode_two_entries(self, grid):
+    def test_single_mode_one_entry(self, grid):
+        # one rfft mode holds mode 1 and its conjugate twin, mode 63
         me = modal_energies(single_mode_initial_condition(grid), grid)
+        assert me.shape == (grid.N // 2 + 1,)
         big = me > 1e-12 * me.sum()
-        assert big.sum() == 2
-        assert set(np.nonzero(big)[0]) == {1, 63}
+        assert big.sum() == 1
+        assert set(np.nonzero(big)[0]) == {1}
 
     def test_parseval(self, grid, rng):
         for _ in range(20):
             f = FieldPair(rng.normal(size=64), rng.normal(size=64))
             me = modal_energies(f, grid)
             assert me.sum() == pytest.approx(discrete_energy(f, grid), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(3, 4097), seed=st.integers(0, 2**32 - 1))
+    @example(N=3, seed=0)
+    @example(N=4, seed=0)
+    @example(N=4096, seed=1)
+    @example(N=4097, seed=1)
+    def test_parseval_at_odd_and_even_n(self, N, seed):
+        # the weights count every DFT entry once, and the modal energies then sum to the total
+        assert rfft_modes(N)[1].sum() == N
+        grid = Grid1D(N=N)
+        rng = np.random.default_rng(seed)
+        f = FieldPair(rng.normal(size=N), rng.normal(size=N))
+        assert modal_energies(f, grid).sum() == pytest.approx(discrete_energy(f, grid), rel=1e-12)
 
     def test_modes_conserved_under_cn(self, grid, rng):
         s = random_skew_stencil(rng, 2, grid.dx)

@@ -562,6 +562,15 @@ class TestExitCodes:
         assert proc.stderr.strip() == "error: dt must be positive and finite, got -0.0078125"
         assert not (tmp_path / "out").exists()
 
+    # no preset runs backward in time: each one reads dt_ratio, and the config rejects it before any output
+    @pytest.mark.parametrize("name", [name.replace("_", "-") for name in EXPERIMENT_NAMES])
+    def test_experiment_negative_dt_ratio_is_two(self, tmp_path, name):
+        (tmp_path / "cfg.json").write_text(json.dumps({"dt_ratio": -0.5}))
+        proc = run_cli("experiment", name, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == "error: dt_ratio must be positive and finite, got -0.5"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [["gen-data"], ["experiment", "dispersion"]], ids=["gen-data", "experiment"])
     def test_negative_seed_is_two(self, tmp_path, argv):
         proc = run_cli(*argv, "--seed", "-1", "--out", str(tmp_path / "out"))

@@ -12,6 +12,7 @@ from stencil_lab.core import (
     discrete_energy,
     inner_product,
     load_stencil,
+    rfft_modes,
     save_stencil,
 )
 from stencil_lab.regression import build_skew_constraints
@@ -156,6 +157,18 @@ class TestInnerProductAndEnergy:
     def test_energy_grid_mismatch(self, grid):
         with pytest.raises(ValueError):
             discrete_energy(FieldPair(np.zeros(32), np.zeros(32)), grid)
+
+
+class TestRfftModes:
+    # an interior mode k stands for itself and its twin N - k; mode 0 and an even N's Nyquist mode are their own twin
+    @pytest.mark.parametrize("N, weights", [(3, [1, 2]), (4, [1, 2, 1]), (5, [1, 2, 2]), (6, [1, 2, 2, 1])])
+    def test_weights(self, N, weights):
+        assert np.array_equal(rfft_modes(N)[1], weights)
+
+    def test_angles_per_spacing(self):
+        # 2 pi m / (N d): angles 2 pi m / N at the default d = 1, wavenumbers 2 pi m / L at d = dx
+        assert np.allclose(rfft_modes(8)[0], 2.0 * np.pi * np.arange(5) / 8.0, rtol=1e-15, atol=0.0)
+        assert np.allclose(rfft_modes(8, 0.25)[0], 2.0 * np.pi * np.arange(5) / 2.0, rtol=1e-15, atol=0.0)
 
 
 class TestCenteredDifference:

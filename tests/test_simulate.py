@@ -19,7 +19,6 @@ from stencil_lab.core import (
     discrete_energy,
     fourier_symbol,
     load_stencil,
-    real_fft,
     save_stencil,
 )
 from stencil_lab.experiments import ExperimentConfig, RunDir, nonstandard_target, run_noisy, simulate_csvs
@@ -36,6 +35,8 @@ from stencil_lab.simulate import (
     single_mode_initial_condition,
     traveling_wave_exact,
 )
+
+from oracles import real_fft
 
 
 def standard_config(grid, stencil=None, dt_ratio=0.5, n_steps=300):
