@@ -4,8 +4,8 @@
     stencil-lab learn       learn a stencil from a training-data file
     stencil-lab simulate    Crank-Nicolson run for a saved stencil
     stencil-lab dispersion  symbol and CN dispersion curves for a stencil
-    stencil-lab experiment  scripted presets (table1, convergence, dispersion,
-                            nonstandard, noisy)
+    stencil-lab experiment  scripted presets (table1, convergence, nonstandard,
+                            noisy)
 
 Global flags: --config FILE (JSON overrides), --out DIR. Each subcommand
 takes only the settings it reads: --seed belongs to gen-data and

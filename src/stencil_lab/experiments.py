@@ -1,7 +1,7 @@
 """Scripted experiment presets: the solver comparison table (with each
-stencil's energy-conservation series and the solvers' objective traces),
-convergence study, dispersion figure data, nonstandard operator recovery,
-and noisy-training stress test.
+stencil's energy-conservation series, the solvers' objective traces and
+the dispersion figure data), convergence study, nonstandard operator
+recovery, and noisy-training stress test.
 
 Every runner is deterministic given its seed and returns its report as a
 dict. Its RunDir formats the CSV and JSON files and records each file
@@ -37,7 +37,7 @@ from .solvers import ADMM, NAG, PG, REFERENCE, TRACE_COLUMNS, SolverOptions, Sol
 from .training import TrainingConfig, TrainingSet, generate_operator_training_set, generate_training_set
 
 DEFAULT_SEED = 20260811
-DISPERSION_SAMPLES = 512  # theta samples of the dispersion preset and the `dispersion` subcommand's default
+DISPERSION_SAMPLES = 512  # theta samples of table1's dispersion curves and the `dispersion` subcommand's default
 
 def default_training_config(seed: int = DEFAULT_SEED, grid: Grid1D | None = None) -> TrainingConfig:
     """Standard training setup: N=64 cells on [0, 1], 200 samples with
@@ -304,7 +304,9 @@ def run_table1(cfg: ExperimentConfig) -> dict:
     then compare coefficients, the final-time field error against the run
     of the order-2R centered difference, the constraint residual, and the
     energy drift of each stencil's runs at dt and at 2 dt, whose series go
-    to energy_{label}.csv and energy_{label}_dt2x.csv. When every solve
+    to energy_{label}.csv and energy_{label}_dt2x.csv. The centered
+    difference and the ADMM stencil also get their symbol and CN
+    dispersion curves at dt (see dispersion_csvs). When every solve
     succeeds, the report also compares the solvers' objective traces, and
     after the files are written it raises NumericalError unless NAG reaches
     PG's final objective in fewer iterations and ADMM's first iterate beats
@@ -315,7 +317,7 @@ def run_table1(cfg: ExperimentConfig) -> dict:
     system = assemble_regression(ts, R=cfg.radius, lam=cfg.lam, M=cfg.box_bound)
     cs = build_skew_constraints(cfg.radius)
 
-    rows, drifts, finals, reports = [], {}, {}, {}
+    rows, drifts, finals, reports, amp_errors = [], {}, {}, {}, {}
     offsets = [f"w_{l:+d}" if l else "w_0" for l in range(-cfg.radius, cfg.radius + 1)]
 
     def add_row(label: str, stencil: Stencil):
@@ -323,6 +325,8 @@ def run_table1(cfg: ExperimentConfig) -> dict:
                    for tag, ratio in (("", cfg.dt_ratio), ("_dt2x", 2 * cfg.dt_ratio))}
         drifts.update({label + tag: _energy_drift(result) for tag, result in results.items()})
         finals[label] = results[""].final.E
+        if label in ("exact_fd", "admm"):
+            amp_errors[label] = dispersion_csvs(run, stencil, cfg.dt_ratio * grid.dx, DISPERSION_SAMPLES, f"_{label}")
         rows.append({
             "method": label, "status": "ok", **dict(zip(offsets, (float(v) for v in stencil.w))),
             "err": relative_l2_error(finals[label], finals["exact_fd"], grid),
@@ -347,8 +351,8 @@ def run_table1(cfg: ExperimentConfig) -> dict:
     run.write_csv("table1.csv", columns, ([row.get(c) for c in columns] for row in rows))
 
     comparison = _solver_comparison(reports) if len(reports) == 4 else {}
-    report = {"rows": rows, "system_shape": [system.rows, system.n_coeffs],
-              "relative_energy_drift": drifts, "n_steps": cfg.n_steps, "dt_ratio": cfg.dt_ratio, **comparison}
+    report = {"rows": rows, "system_shape": [system.rows, system.n_coeffs], "relative_energy_drift": drifts,
+              "max_amplification_error": amp_errors, "n_steps": cfg.n_steps, "dt_ratio": cfg.dt_ratio, **comparison}
     run.finish(report)
 
     if comparison:
@@ -379,23 +383,6 @@ def _solver_comparison(reports: dict[str, SolverReport]) -> dict:
         "pg_monotone": bool(np.all(np.diff(pg.objective_trace) <= 1e-14 * np.maximum(1.0, np.abs(pg.objective_trace[1:])))),
         "nag_non_monotone_steps": int(np.sum(np.diff(nag.objective_trace) > 0.0)),
     }
-
-
-def run_dispersion(cfg: ExperimentConfig) -> dict:
-    """Symbol and Crank-Nicolson dispersion curves for the learned stencil
-    and the centered difference of the same radius."""
-    run = _preset_run(cfg)
-    grid = cfg.training.grid
-    dt = cfg.dt_ratio * grid.dx
-    ts = generate_training_set(cfg.training)
-    learned, report = learn_stencil(ts, cfg.radius, ADMM, cfg.lam, cfg.box_bound, cfg.solver_opts)
-    run.record("admm", report)
-
-    stencils = {"learned": learned, "centered": centered_difference_stencil(grid, cfg.radius)}
-    amp_errors = {label: dispersion_csvs(run, s, dt, DISPERSION_SAMPLES, f"_{label}") for label, s in stencils.items()}
-    report = {"max_amplification_error": amp_errors, "dt": dt}
-    run.finish(report)
-    return report
 
 
 def run_convergence(cfg: ExperimentConfig) -> dict:
@@ -520,7 +507,6 @@ def run_noisy(cfg: ExperimentConfig) -> dict:
 PRESETS = {
     "table1": (run_table1, {"radius": 1, "dt_ratio": 0.5, "n_steps": 300}),
     "convergence": (run_convergence, {"radius": 1, "dt_ratio": 0.2, "resolutions": (64, 128, 256, 512), "t_final": 10.0}),
-    "dispersion": (run_dispersion, {"radius": 1, "dt_ratio": 0.5}),
     "nonstandard": (run_nonstandard, {"dt_ratio": 0.5, "n_steps": 300}),
     "noisy": (run_noisy, {"training": replace(default_training_config(), noise_std=0.05),
                           "radius": 3, "dt_ratio": 0.5, "n_steps": 300, "snapshot_every": 5}),

@@ -63,6 +63,8 @@ class SimConfig:
         R, N = self.stencil.R, self.grid.N
         if N < 2 * R + 1:
             raise ValueError(f"grid N={N} too small for stencil radius R={R} (need N >= {2 * R + 1})")
+        if not math.isclose(self.stencil.dx, self.grid.dx, rel_tol=1e-12):
+            raise ValueError(f"stencil dx={self.stencil.dx} does not match the grid's dx={self.grid.dx}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -211,7 +211,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("seed", [(), ("--seed", "3")])
     def test_experiment_non_object_for_nested_config_is_two(self, tmp_path, seed):
         (tmp_path / "cfg.json").write_text(json.dumps({"training": 5}))
-        proc = run_cli("experiment", "dispersion", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"),
+        proc = run_cli("experiment", "nonstandard", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"),
                        *seed)
         assert proc.returncode == 2
         assert proc.stderr.strip() == "error: config key training must be an object, got 5"
@@ -230,7 +230,7 @@ class TestConfigFile:
 
     def test_experiment_manifest_records_int_for_float_as_float(self, tmp_path):
         (tmp_path / "cfg.json").write_text(json.dumps({"lam": 1, "training": {"noise_std": 0}}))
-        proc = run_cli("experiment", "dispersion", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"))
+        proc = run_cli("experiment", "nonstandard", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
         config = json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]
         assert (config["lam"], config["training"]["noise_std"]) == (1.0, 0.0)
@@ -571,7 +571,7 @@ class TestExitCodes:
         assert proc.stderr.strip() == "error: dt_ratio must be positive and finite, got -0.5"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("argv", [["gen-data"], ["experiment", "dispersion"]], ids=["gen-data", "experiment"])
+    @pytest.mark.parametrize("argv", [["gen-data"], ["experiment", "nonstandard"]], ids=["gen-data", "experiment"])
     def test_negative_seed_is_two(self, tmp_path, argv):
         proc = run_cli(*argv, "--seed", "-1", "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
@@ -646,7 +646,7 @@ class TestExperimentFlags:
         assert len(report["runs"]["constrained_qp"]["coefficients"]) == 5
 
     def test_sigma_sets_the_training_noise(self, tmp_path):
-        proc = run_cli("experiment", "dispersion", "--sigma", "0.3", "--out", str(tmp_path))
+        proc = run_cli("experiment", "nonstandard", "--sigma", "0.3", "--out", str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         assert json.loads((tmp_path / "manifest.json").read_text())["config"]["training"]["noise_std"] == 0.3
 
@@ -662,7 +662,7 @@ class TestExperimentFlags:
 
     # keys of older manifests: each preset default now lives in its plain field
     @pytest.mark.parametrize("preset, key, value", [
-        ("noisy", "noisy_radius", 2), ("convergence", "convergence_dt_ratio", 0.1), ("dispersion", "noisy_sigma", 0.3),
+        ("noisy", "noisy_radius", 2), ("convergence", "convergence_dt_ratio", 0.1), ("nonstandard", "noisy_sigma", 0.3),
     ])
     def test_removed_preset_key_is_two(self, tmp_path, preset, key, value):
         (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
@@ -672,7 +672,7 @@ class TestExperimentFlags:
         assert not (tmp_path / "out").exists()
 
     # table1 runs what these presets ran
-    @pytest.mark.parametrize("name", ["energy", "solver-bench"])
+    @pytest.mark.parametrize("name", ["energy", "solver-bench", "dispersion"])
     def test_removed_preset_is_two(self, tmp_path, capsys, name):
         with pytest.raises(SystemExit) as info:
             cli.main(["experiment", name, "--out", str(tmp_path / "out")])

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stencil_lab
 from stencil_lab import experiments
-from stencil_lab.core import NumericalError, Stencil, centered_difference_stencil
+from stencil_lab.core import NumericalError, Stencil, centered_difference_stencil, load_stencil
 from stencil_lab.experiments import (
     DEFAULT_SEED,
     EXPERIMENT_NAMES,
@@ -23,7 +24,6 @@ from stencil_lab.experiments import (
     learn_stencil,
     merge,
     nonstandard_target,
-    run_dispersion,
     run_experiment,
     run_noisy,
     run_nonstandard,
@@ -194,30 +194,42 @@ class TestEnergyAndDispersion:
         assert (cfg.output_dir / "energy_exact_fd.csv").exists()
         assert (cfg.output_dir / "energy_admm_dt2x.csv").exists()
 
-    def test_dispersion(self, tmp_path):
-        cfg = ExperimentConfig(name="dispersion", output_dir=tmp_path / "disp")
-        report = run_dispersion(cfg)
+    def test_dispersion(self, table1):
+        cfg, report = table1
+        assert set(report["max_amplification_error"]) == {"exact_fd", "admm"}
         for err in report["max_amplification_error"].values():
             assert err <= 1e-13
-        assert (cfg.output_dir / "dispersion_learned.csv").exists()
-        assert (cfg.output_dir / "symbol_centered.csv").exists()
+        for name in ("dispersion_admm.csv", "symbol_admm.csv", "dispersion_exact_fd.csv", "symbol_exact_fd.csv"):
+            assert (cfg.output_dir / name).exists()
+
+    def test_admm_curves_are_those_of_its_stencil_file(self, table1, tmp_path):
+        cfg, _ = table1
+        stencil = load_stencil(cfg.output_dir / "stencil_admm.json")
+        dispersion_csvs(RunDir(tmp_path), stencil, cfg.dt_ratio * stencil.dx, 512, "_admm")
+        for name in ("dispersion_admm.csv", "symbol_admm.csv"):
+            assert (cfg.output_dir / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 class TestRadius3:
-    """table1 and dispersion compare against the centered difference of
-    the configured radius, here the sixth-order one."""
+    """table1's rows and dispersion curves compare against the centered
+    difference of the configured radius, here the sixth-order one."""
 
-    def test_table1(self, tmp_path, grid):
-        report = run_table1(ExperimentConfig(name="table1", radius=3, output_dir=tmp_path))
+    @pytest.fixture(scope="class")
+    def table1_r3(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("table1_r3")
+        return out, run_table1(ExperimentConfig(name="table1", radius=3, output_dir=out))
+
+    def test_table1(self, table1_r3, grid):
+        _, report = table1_r3
         exact = report["rows"][0]
         assert exact["method"] == "exact_fd" and exact["r_eq"] == 0.0
         assert [exact[f"w_{l:+d}" if l else "w_0"] for l in range(-3, 4)] == list(centered_difference_stencil(grid, 3).w)
         assert all(row["status"] == "ok" for row in report["rows"])
 
-    def test_dispersion(self, tmp_path, grid):
-        run_dispersion(ExperimentConfig(name="dispersion", radius=3, output_dir=tmp_path / "disp"))
+    def test_dispersion(self, table1_r3, tmp_path, grid):
+        out, _ = table1_r3
         dispersion_csvs(RunDir(tmp_path), centered_difference_stencil(grid, 3), 0.5 * grid.dx, 512, "_sixth")
-        assert (tmp_path / "disp" / "symbol_centered.csv").read_bytes() == (tmp_path / "symbol_sixth.csv").read_bytes()
+        assert (out / "symbol_exact_fd.csv").read_bytes() == (tmp_path / "symbol_sixth.csv").read_bytes()
 
 
 class TestSolverBench:
@@ -243,7 +255,7 @@ class TestSolverBench:
         rows = {row["method"]: row for row in report["rows"]}
         assert rows["nag"]["status"] == "failed: NAG diverged"
         assert all(rows[m]["status"] == "ok" for m in ("exact_fd", "pg", "admm", "reference"))
-        assert set(report) == {"rows", "system_shape", "relative_energy_drift", "n_steps", "dt_ratio"}
+        assert set(report) == {"rows", "system_shape", "relative_energy_drift", "max_amplification_error", "n_steps", "dt_ratio"}
         assert not (tmp_path / "energy_nag.csv").exists()
 
 
@@ -254,6 +266,14 @@ def test_manifest_lists_exactly_the_written_files(name, tmp_path):
     assert manifest["outputs"] == sorted(p.name for p in tmp_path.iterdir() if p.name != "manifest.json")
     assert manifest["solves"]
     assert all(s["stop_reason"] in ("tol", "max_iters", "exact") for s in manifest["solves"].values())
+
+
+def test_manifest_version_is_the_pyproject_version(table1):
+    tomllib = pytest.importorskip("tomllib")
+    version = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]["version"]
+    cfg, _ = table1
+    assert stencil_lab.__version__ == version
+    assert json.loads((cfg.output_dir / "manifest.json").read_text())["version"] == version
 
 
 _FLOATS = st.floats(allow_nan=False, width=64)
@@ -350,7 +370,6 @@ class TestConfig:
         expected = {
             "table1": (1, 0.5, 0.0),
             "convergence": (1, 0.2, 0.0),
-            "dispersion": (1, 0.5, 0.0),
             "nonstandard": (None, 0.5, 0.0),
             "noisy": (3, 0.5, 0.05),
         }[name]
@@ -417,9 +436,9 @@ class TestConfig:
             ExperimentConfig(name="warp-drive")
 
     def test_run_experiment_dispatch(self, tmp_path):
-        cfg = ExperimentConfig(name="dispersion", output_dir=tmp_path / "d2")
+        cfg = ExperimentConfig(name="nonstandard", output_dir=tmp_path / "d2")
         report = run_experiment(cfg)
-        assert "max_amplification_error" in report
+        assert "relative_error_learned" in report
 
     def test_learn_stencil_helper(self, training_set):
         stencil, report = learn_stencil(training_set, R=1, method="admm")

@@ -186,6 +186,18 @@ class TestSimulate:
             simulate(single_mode_initial_condition(grid), standard_config(grid, centered_difference_stencil(grid, 2)),
                      engine=engine)
 
+    def test_stencil_of_another_spacing_rejected(self):
+        # the stencil's weights are +-32 where this grid needs +-64: waves would move at half speed
+        with pytest.raises(ValueError, match=r"^stencil dx=0\.015625 does not match the grid's dx=0\.0078125$"):
+            standard_config(Grid1D(N=128), centered_difference_stencil(Grid1D(N=64)))
+
+    def test_spacing_equal_up_to_rounding_accepted(self):
+        grid = Grid1D(N=3, L=0.3)
+        assert grid.dx != 0.1
+        cfg = standard_config(grid, Stencil(np.array([-5.0, 0.0, 5.0]), 0.1), n_steps=2)
+        result = simulate(single_mode_initial_condition(grid), cfg, engine="spectral")
+        assert result.energy_series.size == 3
+
     def test_near_singular_dense_system_raises(self, grid):
         # symmetric stencil with (dt/2) mu(0) = 1 - 1e-10: I - (dt/2) D has a singular value of 1e-10,
         # which the dense engine's conjugate gradients cannot resolve within their cap
