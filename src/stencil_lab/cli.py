@@ -45,9 +45,9 @@ import numpy as np
 
 from .analysis import cfl_bound, max_wave_speed
 from .core import Grid1D, NumericalError, Stencil, load_stencil, save_stencil
-from .experiments import DEFAULT_SEED, EXPERIMENT_NAMES, ExperimentConfig, RunDir, merge, run_experiment
+from .experiments import EXPERIMENT_NAMES, ExperimentConfig, RunDir, default_training_config, merge, run_experiment
 from .experiments import DISPERSION_SAMPLES, dispersion_csvs, simulate_csvs
-from .regression import assemble_regression, build_skew_constraints, check_penalties
+from .regression import RegressionSystem, assemble_regression, build_skew_constraints, check_penalties
 from .simulate import SimConfig
 from .solvers import SolverOptions, options_read, solve
 from .training import TrainingConfig, generate_training_set, load_training_set, save_training_set
@@ -55,29 +55,32 @@ from .training import TrainingConfig, generate_training_set, load_training_set, 
 # settings without a default (None), which the flag or the config file must give
 _REQUIRED = ("method", "stencil", "data")
 
+# gen-data's defaults are the standard training set's
+_TRAINING = default_training_config()
+
 
 # a field's "help" is its flag's, to which the flag adds the default or that it is required
 @dataclass(frozen=True, eq=False)
 class GenDataSettings:
-    seed: int = field(default=DEFAULT_SEED, metadata={"help": "PRNG seed"})
+    seed: int = field(default=_TRAINING.seed, metadata={"help": "PRNG seed"})
     out: Path = field(default=Path("stencil-lab-out"), metadata={"help": "output directory"})
-    n_sims: int = field(default=200, metadata={"help": "training samples"})
-    m_max: int = field(default=5, metadata={"help": "highest Fourier mode"})
-    grid_n: int = field(default=64, metadata={"help": "grid cells"})
-    length: float = field(default=1.0, metadata={"help": "domain length"})
-    sigma: float = field(default=0.0, metadata={"help": "derivative noise std"})
-    amplitude_std: float = field(default=1.0, metadata={"help": "mode amplitude std"})
+    n_sims: int = field(default=_TRAINING.n_sims, metadata={"help": "training samples"})
+    m_max: int = field(default=_TRAINING.m_max, metadata={"help": "highest Fourier mode"})
+    grid_n: int = field(default=_TRAINING.grid.N, metadata={"help": "grid cells"})
+    length: float = field(default=_TRAINING.grid.L, metadata={"help": "domain length"})
+    sigma: float = field(default=_TRAINING.noise_std, metadata={"help": "derivative noise std"})
+    amplitude_std: float = field(default=_TRAINING.amplitude_std, metadata={"help": "mode amplitude std"})
 
 
 @dataclass(frozen=True, eq=False)
 class LearnSettings:
     out: Path = field(default=Path("stencil-lab-out"), metadata={"help": "output directory"})
     radius: int = field(default=1, metadata={"help": "stencil radius R"})
-    lam: float = field(default=1e-6, metadata={"help": "Tikhonov weight"})
-    box: float = field(default=100.0, metadata={"help": "box bound M"})
-    rho: float = field(default=0.05, metadata={"help": "ADMM penalty"})
-    max_iters: int | None = field(default=None, metadata={"help": "iteration cap"})
-    tol: float = field(default=1e-12, metadata={"help": "stopping tolerance"})
+    lam: float = field(default=RegressionSystem.lam, metadata={"help": "Tikhonov weight"})
+    box: float = field(default=RegressionSystem.M, metadata={"help": "box bound M"})
+    rho: float = field(default=SolverOptions.rho, metadata={"help": "ADMM penalty"})
+    max_iters: int | None = field(default=SolverOptions.max_iters, metadata={"help": "iteration cap"})
+    tol: float = field(default=SolverOptions.tol, metadata={"help": "stopping tolerance"})
     method: Literal["pg", "nag", "admm", "ref"] = field(default=None, metadata={"help": "solver"})
     data: Path = field(default=None, metadata={"help": "training-data .npz from gen-data"})
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .analysis import cn_dispersion, cn_reference_phase_ratio, convergence_study, symbol
 from .core import Grid1D, NumericalError, Stencil, centered_difference_stencil, save_stencil
-from .regression import assemble_regression, build_skew_constraints
+from .regression import RegressionSystem, assemble_regression, build_skew_constraints
 from .simulate import (
     SimConfig,
     SimResult,
@@ -47,7 +47,6 @@ def default_training_config(seed: int = DEFAULT_SEED, grid: Grid1D | None = None
         m_max=5,
         grid=grid if grid is not None else Grid1D(N=64, L=1.0),
         seed=seed,
-        amplitude_std=1.0,
     )
 
 
@@ -128,8 +127,8 @@ class ExperimentConfig:
     # take null (the preset's default) from a config file.
     training: TrainingConfig | None = None
     radius: int | None = None
-    lam: float = 1e-6
-    box_bound: float = 100.0
+    lam: float = RegressionSystem.lam
+    box_bound: float = RegressionSystem.M
     solver_opts: SolverOptions = field(default_factory=SolverOptions)
     dt_ratio: float | None = None
     n_steps: int = None
@@ -272,8 +271,8 @@ def learn_stencil(
     ts: TrainingSet,
     R: int,
     method: str,
-    lam: float = 1e-6,
-    M: float = 100.0,
+    lam: float = RegressionSystem.lam,
+    M: float = RegressionSystem.M,
     opts: SolverOptions | None = None,
 ) -> tuple[Stencil, SolverReport]:
     """Assemble the regression system for the training set and solve it."""

@@ -21,7 +21,9 @@ solver iteration costs O(R^2) regardless of the number of rows.
 Skew-adjointness (w_0 = 0, w_{-l} = -w_{+l}) is the only linear
 constraint. It is eliminated by the parametrization w = P a with free
 coefficients a_l = w_{+l} (lift); the box |w| <= M is then exactly
-|a| <= M, and reduce_problem gives the R-unknown box QP in a.
+|a| <= M. The system is the R-unknown box QP in a that the solvers
+solve: RegressionSystem.H and .g are its Hessian and linear term,
+formed once, on first read.
 """
 
 from __future__ import annotations
@@ -44,14 +46,25 @@ def check_penalties(lam: float, M: float) -> None:
         raise ValueError(f"box bound M must be positive, got {M}")
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class RegressionSystem:
     """Tikhonov-regularized least squares min (1/2)||Aw-b||^2 + (lam/2)||w||^2
     with box bound |w_l| <= M, held as A^T A, A^T b and b^T b.
 
-    A and b are readable: a system from from_dense keeps the matrices it
-    was given, and one from assemble_regression gathers them from its
-    training set on first read (cached).
+    It is also the QP in the free coefficients a (w = P a, P^T P = 2I)
+    that the solvers solve:
+    minimize F(a) = (1/2) a^T H a - g^T a + (1/2) b^T b subject to |a| <= M.
+    H_ext and g_ext are H and g in extended precision; H and g are them
+    rounded to float64. Each is formed on first read (cached), and every
+    array the system holds is read-only, so the cache cannot go stale.
+
+    A and b are gathered from the training set of a system from
+    assemble_regression on first read (cached).
     """
 
     gram: np.ndarray          # A^T A
@@ -63,26 +76,46 @@ class RegressionSystem:
     training: TrainingSet | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        gram = np.asarray(self.gram, dtype=float)
-        atb = np.asarray(self.atb, dtype=float)
+        gram = np.array(self.gram, dtype=float)
+        atb = np.array(self.atb, dtype=float)
         if atb.ndim != 1 or gram.shape != (atb.size, atb.size):
             raise ValueError(f"need a square gram and matching atb, got {gram.shape} and {atb.shape}")
         if atb.size % 2 == 0:
             raise ValueError(f"stencil dimension must be odd (2R+1), got {atb.size}")
         check_penalties(self.lam, self.M)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "atb", atb)
+        object.__setattr__(self, "gram", _read_only(gram))
+        object.__setattr__(self, "atb", _read_only(atb))
 
-    @classmethod
-    def from_dense(cls, A, b, lam: float = 1e-6, M: float = 100.0) -> "RegressionSystem":
-        """The system of an explicit design matrix A (rows x n) and targets b."""
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if A.ndim != 2 or b.shape != (A.shape[0],):
-            raise ValueError(f"need A (rows x n) and matching b, got {A.shape} and {b.shape}")
-        system = cls(gram=A.T @ A, atb=A.T @ b, btb=float(b @ b), rows=A.shape[0], lam=lam, M=M)
-        system.__dict__.update(A=A, b=b)
-        return system
+    def _lift_ext(self) -> np.ndarray:
+        """P, whose columns are lift(e_l), in extended precision."""
+        return np.array([lift(e) for e in np.eye(self.R)], dtype=np.longdouble).T
+
+    @cached_property
+    def H_ext(self) -> np.ndarray:
+        """H = P^T (A^T A) P + 2 lam I in extended precision. The entries of
+        A^T A are large next to H's small eigenvalues (condition number
+        ~1e11 at R = 4 on the default data), so forming H in float64 loses
+        digits to cancellation."""
+        P = self._lift_ext()
+        lam2 = 2 * np.longdouble(self.lam) * np.eye(self.R, dtype=np.longdouble)
+        return _read_only(P.T @ self.gram.astype(np.longdouble) @ P + lam2)
+
+    @cached_property
+    def g_ext(self) -> np.ndarray:
+        """g = P^T A^T b in extended precision."""
+        return _read_only(self._lift_ext().T @ self.atb.astype(np.longdouble))
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        return _read_only(self.H_ext.astype(float))
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return _read_only(self.g_ext.astype(float))
+
+    def objective(self, a: np.ndarray) -> float:
+        """F(a)."""
+        return 0.5 * float(a @ (self.H @ a)) - float(self.g @ a) + 0.5 * self.btb
 
     @cached_property
     def A(self) -> np.ndarray:
@@ -114,7 +147,8 @@ class RegressionSystem:
         return (self.n_coeffs - 1) // 2
 
 
-def assemble_regression(ts: TrainingSet, R: int, lam: float = 1e-6, M: float = 100.0) -> RegressionSystem:
+def assemble_regression(ts: TrainingSet, R: int, lam: float = RegressionSystem.lam,
+                        M: float = RegressionSystem.M) -> RegressionSystem:
     """A^T A, A^T b and b^T b of the patch rows and derivative targets (see
     RegressionSystem.A) as periodic lag dot products of the training
     fields, without forming A. The sums run over the same products as
@@ -166,41 +200,3 @@ def lift(a: np.ndarray) -> np.ndarray:
     """The skew stencil w = P a: w_{+l} = a_l, w_{-l} = -a_l, w_0 = 0."""
     a = np.asarray(a, dtype=float)
     return np.concatenate([-a[::-1], [0.0], a])
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedProblem:
-    """The QP in the free coefficients a (w = P a, P^T P = 2I):
-    minimize F(a) = (1/2) a^T H a - g^T a + (1/2) b^T b subject to |a| <= M.
-
-    H_ext and g_ext are H and g in extended precision; H and g are them
-    rounded to float64.
-    """
-
-    H: np.ndarray
-    g: np.ndarray
-    H_ext: np.ndarray
-    g_ext: np.ndarray
-    btb: float
-    M: float
-
-    @property
-    def R(self) -> int:
-        return self.g.size
-
-    def objective(self, a: np.ndarray) -> float:
-        """F(a)."""
-        return 0.5 * float(a @ (self.H @ a)) - float(self.g @ a) + 0.5 * self.btb
-
-
-def reduce_problem(sys: RegressionSystem) -> ReducedProblem:
-    """Substitute w = P a into f: H = P^T (A^T A) P + 2 lam I, g = P^T A^T b.
-
-    Both are formed in extended precision. The entries of A^T A are large
-    next to H's small eigenvalues (condition number ~1e11 at R = 4 on the
-    default data), so forming H in float64 loses digits to cancellation.
-    """
-    P = np.array([lift(e) for e in np.eye(sys.R)], dtype=np.longdouble).T
-    H = P.T @ sys.gram.astype(np.longdouble) @ P + 2 * np.longdouble(sys.lam) * np.eye(sys.R, dtype=np.longdouble)
-    g = P.T @ sys.atb.astype(np.longdouble)
-    return ReducedProblem(H=H.astype(float), g=g.astype(float), H_ext=H, g_ext=g, btb=sys.btb, M=sys.M)

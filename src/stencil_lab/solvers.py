@@ -1,9 +1,10 @@
 """Four solvers for the stencil-learning quadratic program.
 
-Every solver works on regression.reduce_problem: the free coefficients a
-(w = P a) under the box |a| <= M, which is exactly the box |w| <= M. The
-skew constraint holds by construction and clipping each coordinate to
-[-M, M] is the exact projection onto the feasible set.
+Every solver works on the QP the regression system holds (its H and
+g): the free coefficients a (w = P a) under the box |a| <= M, which is
+exactly the box |w| <= M. The skew constraint holds by construction and
+clipping each coordinate to [-M, M] is the exact projection onto the
+feasible set.
 
 * solve_pg / solve_nag: projected gradient and its Nesterov-accelerated
   variant. The step alpha/2 on F(a) = f(P a) is the step alpha = 1/L on f
@@ -43,13 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NumericalError, solve_refined
-from .regression import (
-    ReducedProblem,
-    RegressionSystem,
-    SkewConstraints,
-    lift,
-    reduce_problem,
-)
+from .regression import RegressionSystem, SkewConstraints, lift
 
 PG = "PG"
 NAG = "NAG"
@@ -122,11 +117,13 @@ class SolverReport:
         }
 
 
-def _setup(sys: RegressionSystem, cs: SkewConstraints) -> tuple[ReducedProblem, float]:
-    """The reduced problem and the solve's start time."""
+def _setup(sys: RegressionSystem, cs: SkewConstraints) -> float:
+    """The solve's start time, taken after the system has formed its H and
+    g, so that no trace times the reduction."""
     if cs.R != sys.R:
         raise ValueError(f"constraints are for radius {cs.R} but the system has radius {sys.R}")
-    return reduce_problem(sys), time.perf_counter()
+    sys.H, sys.g  # a system's first solve forms them here
+    return time.perf_counter()
 
 
 def _stepsize(sys: RegressionSystem) -> float:
@@ -141,9 +138,9 @@ def _clip(a: np.ndarray, lo, hi) -> np.ndarray:
     return np.minimum(np.maximum(a, lo), hi)
 
 
-def _box(prob: ReducedProblem) -> tuple[np.ndarray, np.ndarray]:
+def _box(sys: RegressionSystem) -> tuple[np.ndarray, np.ndarray]:
     """-M and M as arrays, which np.maximum and np.minimum take faster than scalars."""
-    return np.full(prob.R, -prob.M), np.full(prob.R, prob.M)
+    return np.full(sys.R, -sys.M), np.full(sys.R, sys.M)
 
 
 def _matvecs(H: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -156,15 +153,15 @@ def _w_norms(D: np.ndarray) -> np.ndarray:
     return _W_NORM * np.sqrt(np.vecdot(D, D))
 
 
-def _measures(prob: ReducedProblem, W: np.ndarray, step: float | None = None):
+def _measures(sys: RegressionSystem, W: np.ndarray, step: float | None = None):
     """The objective, the iterate change in w and, given NAG's step, the
     projected-gradient mapping of each row of W but the first, which is
     the iterate before them; with the bits of each row's own calls."""
     A = W[1:]
-    HA = _matvecs(prob.H, A)
-    objective = 0.5 * np.vecdot(A, HA) - np.vecdot(prob.g, A) + 0.5 * prob.btb
+    HA = _matvecs(sys.H, A)
+    objective = 0.5 * np.vecdot(A, HA) - np.vecdot(sys.g, A) + 0.5 * sys.btb
     diff = _w_norms(A - W[:-1])
-    mapping = None if step is None else _w_norms(A - _clip(A - step * (HA - prob.g), -prob.M, prob.M))
+    mapping = None if step is None else _w_norms(A - _clip(A - step * (HA - sys.g), -sys.M, sys.M))
     return objective, diff, mapping
 
 
@@ -180,7 +177,7 @@ def _report(method: str, a_final: np.ndarray, blocks: list, stop_reason: str) ->
     )
 
 
-def _iterate(method: str, prob: ReducedProblem, t0: float, iterates, max_iters: int, tol: float,
+def _iterate(method: str, sys: RegressionSystem, t0: float, iterates, max_iters: int, tol: float,
              mapping_step: float | None = None) -> SolverReport:
     """Run a solver to its first stop or to max_iters, measuring its
     iterates a block at a time (see the module docstring).
@@ -195,7 +192,7 @@ def _iterate(method: str, prob: ReducedProblem, t0: float, iterates, max_iters: 
     discarded.
     """
     blocks, returned = [], None
-    a_before = np.zeros(prob.R)
+    a_before = np.zeros(sys.R)
     done, block = 0, _FIRST_BLOCK
     with np.errstate(over="ignore", invalid="ignore"):
         while done < max_iters:
@@ -204,7 +201,7 @@ def _iterate(method: str, prob: ReducedProblem, t0: float, iterates, max_iters: 
                 times.append(time.perf_counter() - t0)
                 pairs.append(pair)
             W = np.array([a_before, *(a for a, _ in pairs)])
-            objective, diff, mapping = _measures(prob, W, mapping_step)
+            objective, diff, mapping = _measures(sys, W, mapping_step)
             stops = np.nonzero((diff if mapping is None else mapping) <= tol)[0]
             n = int(stops[0]) + 1 if stops.size else len(pairs)
             finite = np.isfinite(objective[:n])
@@ -221,19 +218,19 @@ def _iterate(method: str, prob: ReducedProblem, t0: float, iterates, max_iters: 
 def solve_pg(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = SolverOptions()) -> SolverReport:
     """Projected gradient: a <- clip(a - alpha/2 grad F(a)). Monotone
     descent for alpha <= 1/L; every iterate is feasible by construction."""
-    prob, t0 = _setup(sys, cs)
+    t0 = _setup(sys, cs)
     step = _stepsize(sys)
 
     def iterates():
-        H, g, (lo, hi) = prob.H, prob.g, _box(prob)
-        a = np.zeros(prob.R)
+        H, g, (lo, hi) = sys.H, sys.g, _box(sys)
+        a = np.zeros(sys.R)
         Ha = H.dot(a)
         while True:
             a = _clip(a - step * (Ha - g), lo, hi)
             yield a, a
             Ha = H.dot(a)
 
-    return _iterate(PG, prob, t0, iterates(), opts.resolve_max_iters(PG), opts.tol)
+    return _iterate(PG, sys, t0, iterates(), opts.resolve_max_iters(PG), opts.tol)
 
 
 def solve_nag(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = SolverOptions()) -> SolverReport:
@@ -241,12 +238,12 @@ def solve_nag(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = 
     schedule t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2, beta_k = (t_k - 1) / t_{k+1},
     t_0 = 1 (the first extrapolation is null). The objective may
     oscillate; stopping uses the projected-gradient mapping."""
-    prob, t0 = _setup(sys, cs)
+    t0 = _setup(sys, cs)
     step = _stepsize(sys)
 
     def iterates():
-        H, g, (lo, hi) = prob.H, prob.g, _box(prob)
-        a = a_prev = np.zeros(prob.R)
+        H, g, (lo, hi) = sys.H, sys.g, _box(sys)
+        a = a_prev = np.zeros(sys.R)
         t = 1.0
         while True:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
@@ -255,7 +252,7 @@ def solve_nag(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = 
             a_prev, a, t = a, _clip(y - step * (H.dot(y) - g), lo, hi), t_next
             yield a, a
 
-    return _iterate(NAG, prob, t0, iterates(), opts.resolve_max_iters(NAG), opts.tol, mapping_step=step)
+    return _iterate(NAG, sys, t0, iterates(), opts.resolve_max_iters(NAG), opts.tol, mapping_step=step)
 
 
 def solve_admm(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = SolverOptions()) -> SolverReport:
@@ -267,23 +264,23 @@ def solve_admm(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions =
     an R x R system. Returns the final z, which is feasible for the box
     by construction.
     """
-    prob, t0 = _setup(sys, cs)
+    t0 = _setup(sys, cs)
 
     def iterates():
         rho2 = 2.0 * opts.rho
-        K = prob.H + rho2 * np.eye(prob.R)
-        g, (lo, hi) = prob.g, _box(prob)
-        z, u = np.zeros(prob.R), np.zeros(prob.R)
+        K = sys.H + rho2 * np.eye(sys.R)
+        g, (lo, hi) = sys.g, _box(sys)
+        z, u = np.zeros(sys.R), np.zeros(sys.R)
         while True:
             a = np.linalg.solve(K, g + rho2 * (z - u))
             z = _clip(a + u, lo, hi)
             u = u + a - z
             yield a, z
 
-    return _iterate(ADMM, prob, t0, iterates(), opts.resolve_max_iters(ADMM), opts.tol)
+    return _iterate(ADMM, sys, t0, iterates(), opts.resolve_max_iters(ADMM), opts.tol)
 
 
-def _box_qp(prob: ReducedProblem) -> np.ndarray:
+def _box_qp(sys: RegressionSystem) -> np.ndarray:
     """Exact minimizer of the strictly convex F over |a| <= M.
 
     Each face of the box fixes some coordinates at +-M and leaves the
@@ -293,23 +290,23 @@ def _box_qp(prob: ReducedProblem) -> np.ndarray:
     the least objective wins: 3^R small solves, with no active-set
     bookkeeping that could cycle.
     """
-    M = prob.M
-    a = solve_refined(prob.H_ext, prob.g_ext)
+    M = sys.M
+    a = solve_refined(sys.H_ext, sys.g_ext)
     if np.max(np.abs(a)) <= M:
         return a
     best, best_f = None, np.inf
-    for signs in itertools.product((-1.0, 0.0, 1.0), repeat=prob.R):
+    for signs in itertools.product((-1.0, 0.0, 1.0), repeat=sys.R):
         fixed = np.array(signs) != 0.0
         if not fixed.any():
             continue
         a = M * np.array(signs)
         free = ~fixed
         if free.any():
-            rhs = prob.g_ext[free] - prob.H_ext[np.ix_(free, fixed)] @ a[fixed]
-            a[free] = solve_refined(prob.H_ext[np.ix_(free, free)], rhs)
+            rhs = sys.g_ext[free] - sys.H_ext[np.ix_(free, fixed)] @ a[fixed]
+            a[free] = solve_refined(sys.H_ext[np.ix_(free, free)], rhs)
             if np.max(np.abs(a[free])) > M:
                 continue
-        f = prob.objective(a)
+        f = sys.objective(a)
         if f < best_f:
             best, best_f = a, f
     return best
@@ -318,12 +315,12 @@ def _box_qp(prob: ReducedProblem) -> np.ndarray:
 def solve_reference(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = SolverOptions()) -> SolverReport:
     """Exact solve of the reduced box QP; the optimality baseline for
     the first-order solvers. Records a single trace entry."""
-    prob, t0 = _setup(sys, cs)
+    t0 = _setup(sys, cs)
     try:
-        a = _box_qp(prob)
+        a = _box_qp(sys)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("reference solver: singular reduced Hessian") from exc
-    objective = prob.objective(a)
+    objective = sys.objective(a)
     if not math.isfinite(objective):
         raise NumericalError(f"{REFERENCE}: objective became non-finite at iteration 1")
     return _report(REFERENCE, a, [([objective], [_W_NORM * math.sqrt(a @ a)], [time.perf_counter() - t0])], "exact")

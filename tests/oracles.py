@@ -1,13 +1,16 @@
 """Reference implementations the tests compare the library against: the
-dense operator matrix D, the full-space objective and its gradient, the
-skew coordinates of a stencil (the skew projection), and the full
-length-N DFT of a real vector. The library itself needs none of them;
-the solvers work in skew coordinates from the start, and the library's
-FFTs work on the rfft modes."""
+dense operator matrix D, the regression system of an explicit design
+matrix, the full-space objective and its gradient, the skew coordinates
+of a stencil (the skew projection), and the full length-N DFT of a real
+vector. The library itself needs none of them; it assembles its systems
+from the training fields without forming A, the solvers work in skew
+coordinates from the start, and the library's FFTs work on the rfft
+modes."""
 
 import numpy as np
 
 from stencil_lab.core import Stencil, circulant
+from stencil_lab.regression import RegressionSystem
 
 
 def operator_matrix(stencil: Stencil, N: int) -> np.ndarray:
@@ -33,6 +36,12 @@ def real_fft(u: np.ndarray, ortho: bool = False) -> np.ndarray:
     if ortho:
         f *= float(1 / np.sqrt(np.longdouble(N)))
     return f
+
+
+def dense_system(A, b, lam: float = RegressionSystem.lam, M: float = RegressionSystem.M) -> RegressionSystem:
+    """The system of an explicit design matrix A (rows x n) and targets b."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    return RegressionSystem(gram=A.T @ A, atb=A.T @ b, btb=float(b @ b), rows=len(A), lam=lam, M=M)
 
 
 def objective_and_gradient(sys, w: np.ndarray) -> tuple[float, np.ndarray]:

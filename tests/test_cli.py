@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import re
 import shlex
@@ -12,8 +13,10 @@ import pytest
 
 from stencil_lab import cli, experiments
 from stencil_lab.core import Grid1D, Stencil, centered_difference_stencil, load_stencil, save_stencil
-from stencil_lab.experiments import EXPERIMENT_NAMES, ExperimentConfig, run_convergence
+from stencil_lab.experiments import EXPERIMENT_NAMES, ExperimentConfig, default_training_config, learn_stencil, run_convergence
+from stencil_lab.regression import RegressionSystem, assemble_regression
 from stencil_lab.simulate import SimConfig, simulate, single_mode_initial_condition
+from stencil_lab.solvers import SolverOptions
 from stencil_lab.training import TrainingConfig, generate_training_set, save_training_set
 
 
@@ -801,3 +804,20 @@ def test_readme_commands_parse():
             cli.build_parser().parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+def test_defaults_are_the_librarys():
+    """Each default of gen-data, learn and the presets is the library value
+    it stands for: gen-data's build the standard training set, and every
+    regression and solver default is RegressionSystem's and SolverOptions'."""
+    gen = cli.GenDataSettings()
+    assert TrainingConfig(n_sims=gen.n_sims, m_max=gen.m_max, grid=Grid1D(N=gen.grid_n, L=gen.length), seed=gen.seed,
+                          amplitude_std=gen.amplitude_std, noise_std=gen.sigma) == default_training_config()
+    learn, preset, opts = cli.LearnSettings(), ExperimentConfig(name="table1"), SolverOptions()
+    penalties = (RegressionSystem.lam, RegressionSystem.M)
+    for fn in (assemble_regression, learn_stencil):
+        params = inspect.signature(fn).parameters
+        assert (params["lam"].default, params["M"].default) == penalties
+    assert (learn.lam, learn.box) == (preset.lam, preset.box_bound) == penalties == (1e-6, 100.0)
+    assert (learn.rho, learn.tol, learn.max_iters) == (opts.rho, opts.tol, opts.max_iters) == (0.05, 1e-12, None)
+    assert preset.solver_opts == opts

@@ -13,11 +13,10 @@ from stencil_lab.regression import (
     assemble_regression,
     build_skew_constraints,
     lift,
-    reduce_problem,
 )
 from stencil_lab.training import TrainingConfig, TrainingSet, generate_training_set
 
-from oracles import objective_and_gradient, operator_matrix, skew_coordinates
+from oracles import dense_system, objective_and_gradient, operator_matrix, skew_coordinates
 
 
 class TestAssembly:
@@ -76,17 +75,17 @@ class TestAssembly:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            RegressionSystem.from_dense(np.eye(3), np.zeros(3), lam=-1.0)
+            dense_system(np.eye(3), np.zeros(3), lam=-1.0)
         with pytest.raises(ValueError):
-            RegressionSystem.from_dense(np.eye(3), np.zeros(3), M=0.0)
+            dense_system(np.eye(3), np.zeros(3), M=0.0)
         for lam, M, name in ((np.nan, 1.0, "lam"), (np.inf, 1.0, "lam"), (0.0, np.nan, "M")):
             with pytest.raises(ValueError, match=name):
-                RegressionSystem.from_dense(np.eye(3), np.zeros(3), lam=lam, M=M)
-        assert RegressionSystem.from_dense(np.eye(3), np.zeros(3), M=np.inf).M == np.inf  # an open box
+                dense_system(np.eye(3), np.zeros(3), lam=lam, M=M)
+        assert dense_system(np.eye(3), np.zeros(3), M=np.inf).M == np.inf  # an open box
         with pytest.raises(ValueError):
-            RegressionSystem.from_dense(np.eye(4), np.zeros(4))  # even stencil dimension
+            dense_system(np.eye(4), np.zeros(4))  # even stencil dimension
         with pytest.raises(ValueError):
-            RegressionSystem.from_dense(np.eye(3), np.zeros(2))
+            dense_system(np.eye(3), np.zeros(2))
         with pytest.raises(ValueError):
             RegressionSystem(gram=np.eye(3), atb=np.zeros(2), btb=0.0, rows=3)
         with pytest.raises(ValueError, match="no training set"):
@@ -94,8 +93,8 @@ class TestAssembly:
 
     def test_from_dense_keeps_its_matrices(self, rng):
         A, b = rng.normal(size=(7, 3)), rng.normal(size=7)
-        sys_ = RegressionSystem.from_dense(A, b)
-        assert sys_.rows == 7 and np.array_equal(sys_.A, A) and np.array_equal(sys_.b, b)
+        sys_ = dense_system(A, b)
+        assert sys_.rows == 7
         assert np.array_equal(sys_.gram, A.T @ A) and np.array_equal(sys_.atb, A.T @ b)
 
 
@@ -129,7 +128,7 @@ class TestLagCorrelations:
                              seed=seed, noise_std=0.1 if noisy else 0.0)
         ts = generate_training_set(cfg)
         A, b = loop_design(ts, R)
-        dense = RegressionSystem.from_dense(A, b)
+        dense = dense_system(A, b)
         sys_ = assemble_regression(ts, R=R)
         assert sys_.rows == dense.rows and sys_.n_coeffs == 2 * R + 1
         # |gram| <= r(0) and |atb| <= sqrt(r(0) btb) (Cauchy-Schwarz) set each entry's scale
@@ -243,21 +242,19 @@ class TestReducedProblem:
 
     def test_hessian_and_linear_term(self, rng):
         A = rng.normal(size=(20, 5))
-        sys_ = RegressionSystem.from_dense(A, rng.normal(size=20), lam=0.3)
+        sys_ = dense_system(A, rng.normal(size=20), lam=0.3)
         P = np.array([lift(e) for e in np.eye(2)]).T
-        prob = reduce_problem(sys_)
-        assert np.allclose(prob.H, P.T @ sys_.gram @ P + 0.6 * np.eye(2), rtol=1e-14, atol=0.0)
-        assert np.allclose(prob.g, P.T @ sys_.atb, rtol=1e-14, atol=0.0)
-        assert np.array_equal(prob.H, prob.H.T)
-        assert prob.M == sys_.M and prob.R == 2
+        assert np.allclose(sys_.H, P.T @ sys_.gram @ P + 0.6 * np.eye(2), rtol=1e-14, atol=0.0)
+        assert np.allclose(sys_.g, P.T @ sys_.atb, rtol=1e-14, atol=0.0)
+        assert np.array_equal(sys_.H, sys_.H.T)
+        assert sys_.H.shape == (2, 2) and sys_.g.shape == (2,)
 
     def test_objective_and_gradient_match_full_space(self, system_r1, rng):
-        prob = reduce_problem(system_r1)
         for _ in range(5):
             a = rng.normal(size=1) * 30.0
             f, grad = objective_and_gradient(system_r1, lift(a))
-            assert prob.objective(a) == pytest.approx(f, rel=1e-10)
-            assert prob.H @ a - prob.g == pytest.approx(grad[2] - grad[0], rel=1e-10)
+            assert system_r1.objective(a) == pytest.approx(f, rel=1e-10)
+            assert system_r1.H @ a - system_r1.g == pytest.approx(grad[2] - grad[0], rel=1e-10)
 
     def test_skew_coordinates_invert_lift(self, rng):
         a = rng.normal(size=4)

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,6 @@ from stencil_lab.regression import (
     assemble_regression,
     build_skew_constraints,
     lift,
-    reduce_problem,
 )
 from stencil_lab.solvers import (
     ADMM,
@@ -22,6 +22,7 @@ from stencil_lab.solvers import (
     PG,
     REFERENCE,
     SolverOptions,
+    SolverReport,
     solve,
     solve_admm,
     solve_nag,
@@ -30,7 +31,7 @@ from stencil_lab.solvers import (
 )
 from stencil_lab.solvers import _FIRST_BLOCK, _LAST_BLOCK, _matvecs
 
-from oracles import skew_coordinates
+from oracles import dense_system, skew_coordinates
 
 NO_STOP = SolverOptions(max_iters=120, tol=1e-300)  # fixed-budget runs
 # a negative definite gram, no least-squares problem: PG and NAG then take the step 1/2 on the reduced
@@ -134,10 +135,10 @@ def random_system(seed, R, box_scale=None):
     b = rng.normal(size=n + 10) * 5.0
     lam = float(rng.uniform(0.0, 0.5))
     if box_scale is None:
-        return RegressionSystem.from_dense(A, b, lam=lam, M=1e6)
-    prob = reduce_problem(RegressionSystem.from_dense(A, b, lam=lam))
-    a_free = np.linalg.solve(prob.H, prob.g)
-    return RegressionSystem.from_dense(A, b, lam=lam, M=box_scale * float(np.max(np.abs(a_free))))
+        return dense_system(A, b, lam=lam, M=1e6)
+    free = dense_system(A, b, lam=lam)
+    a_free = np.linalg.solve(free.H, free.g)
+    return dense_system(A, b, lam=lam, M=box_scale * float(np.max(np.abs(a_free))))
 
 
 # Reference loops in which the objective and the gradient each form H a,
@@ -147,12 +148,11 @@ def random_system(seed, R, box_scale=None):
 # from `start`, a triple (a, z, u) of skew coordinates, when one is given.
 
 def looped_solve(method, sys, opts, start=None):
-    prob = reduce_problem(sys)
-    H, g, M = prob.H, prob.g, prob.M
+    H, g, M = sys.H, sys.g, sys.M
     rows = []
 
     def record(a, diff):
-        f = 0.5 * float(a @ (H @ a)) - float(g @ a) + 0.5 * prob.btb
+        f = 0.5 * float(a @ (H @ a)) - float(g @ a) + 0.5 * sys.btb
         if not np.isfinite(f):
             raise NumericalError(f"{method}: objective became non-finite at iteration {len(rows) + 1}")
         rows.append((f, diff))
@@ -166,7 +166,7 @@ def looped_solve(method, sys, opts, start=None):
 
     lip = np.linalg.eigvalsh(sys.gram)[-1] + sys.lam
     step = 0.5 / lip if lip > 0.0 else 0.5
-    a = np.zeros(prob.R)
+    a = np.zeros(sys.R)
     if method == PG:
         for _ in range(opts.resolve_max_iters(PG)):
             a_new = np.clip(a - step * (H @ a - g), -M, M)
@@ -189,8 +189,8 @@ def looped_solve(method, sys, opts, start=None):
                 return report(a, "tol")
         return report(a, "max_iters")
     rho2 = 2.0 * opts.rho
-    K = H + rho2 * np.eye(prob.R)
-    a, z, u = start if start is not None else (a, np.zeros(prob.R), np.zeros(prob.R))
+    K = H + rho2 * np.eye(sys.R)
+    a, z, u = start if start is not None else (a, np.zeros(sys.R), np.zeros(sys.R))
     for _ in range(opts.resolve_max_iters(ADMM)):
         a_new = np.linalg.solve(K, g + rho2 * (z - u))
         z = np.clip(a_new + u, -M, M)
@@ -246,12 +246,11 @@ def at_block_edges(test):
 
 
 def assert_kkt(sys, w, tol=1e-9):
-    prob = reduce_problem(sys)
     a = skew_coordinates(w)
-    grad = prob.H @ a - prob.g
-    scale = tol * (np.max(np.abs(prob.g)) + np.max(np.abs(prob.H)) * prob.M)
-    assert np.all(np.abs(a) <= prob.M)
-    upper, lower = a == prob.M, a == -prob.M
+    grad = sys.H @ a - sys.g
+    scale = tol * (np.max(np.abs(sys.g)) + np.max(np.abs(sys.H)) * sys.M)
+    assert np.all(np.abs(a) <= sys.M)
+    upper, lower = a == sys.M, a == -sys.M
     free = ~(upper | lower)
     assert np.all(np.abs(grad[free]) <= scale)
     assert np.all(grad[upper] <= scale)  # moving inward from +M must not descend
@@ -261,12 +260,12 @@ def assert_kkt(sys, w, tol=1e-9):
 
 class TestProjectedGradient:
     def test_feasible_unconstrained_minimum(self):
-        sys_ = RegressionSystem.from_dense(np.eye(3), np.array([1.0, 0.0, -1.0]), lam=0.0, M=10.0)
+        sys_ = dense_system(np.eye(3), np.array([1.0, 0.0, -1.0]), lam=0.0, M=10.0)
         rep = solve_pg(sys_, build_skew_constraints(1))
         assert np.allclose(rep.w_final, [1.0, 0.0, -1.0], atol=1e-10)
 
     def test_symmetric_target_projects_to_zero(self):
-        sys_ = RegressionSystem.from_dense(np.eye(3), np.ones(3), lam=0.0, M=10.0)
+        sys_ = dense_system(np.eye(3), np.ones(3), lam=0.0, M=10.0)
         rep = solve_pg(sys_, build_skew_constraints(1))
         assert np.allclose(rep.w_final, 0.0, atol=1e-10)
 
@@ -282,9 +281,9 @@ class TestProjectedGradient:
         s = np.array([0.5, 2.0, 9.0, 4.0, 1.0])
         Q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
         A = np.sqrt(s)[:, None] * Q.T  # A^T A = Q diag(s) Q^T
-        sys_ = RegressionSystem.from_dense(A, rng.normal(size=5), lam=0.25, M=M)
+        sys_ = dense_system(A, rng.normal(size=5), lam=0.25, M=M)
         alpha = 1.0 / (9.0 + 0.25)
-        g = reduce_problem(sys_).g
+        g = sys_.g
         rep = solve_pg(sys_, build_skew_constraints(2), SolverOptions(max_iters=1))
         expected = lift(np.clip(0.5 * alpha * g, -M, M))
         assert np.allclose(rep.w_final, expected, rtol=1e-12, atol=0.0)
@@ -297,7 +296,7 @@ class TestProjectedGradient:
         assert np.all(diffs <= slack)
 
     def test_box_enforced(self):
-        sys_ = RegressionSystem.from_dense(np.eye(3), np.array([10.0, 0.0, -10.0]), lam=1e-3, M=2.0)
+        sys_ = dense_system(np.eye(3), np.array([10.0, 0.0, -10.0]), lam=1e-3, M=2.0)
         rep = solve_pg(sys_, build_skew_constraints(1))
         assert np.array_equal(rep.w_final, [2.0, 0.0, -2.0])
         assert rep.stop_reason == "tol"
@@ -316,7 +315,7 @@ class TestNesterov:
 
     def test_scalar_strongly_convex(self):
         """At R = 1 the reduced problem is scalar: F(a) = (2a - 4)^2 / 2."""
-        sys_ = RegressionSystem.from_dense(np.array([[-1.0, 0.0, 1.0]]), np.array([4.0]), lam=0.0, M=100.0)
+        sys_ = dense_system(np.array([[-1.0, 0.0, 1.0]]), np.array([4.0]), lam=0.0, M=100.0)
         rep = solve_nag(sys_, build_skew_constraints(1), SolverOptions(max_iters=2000, tol=1e-15))
         assert np.max(np.abs(rep.w_final - [-2.0, 0.0, 2.0])) <= 1e-10
 
@@ -396,7 +395,7 @@ class TestADMM:
         for _ in range(10):
             A = rng.normal(size=(30, 5))
             b = rng.normal(size=30) * 3.0
-            sys_ = RegressionSystem.from_dense(A, b, lam=1e-3, M=1000.0)
+            sys_ = dense_system(A, b, lam=1e-3, M=1000.0)
             cs = build_skew_constraints(2)
             w_admm = solve_admm(sys_, cs, SolverOptions(max_iters=3000, tol=1e-15, rho=1.0)).w_final
             w_ref = solve_reference(sys_, cs).w_final
@@ -409,13 +408,13 @@ class TestReference:
         for _ in range(5):
             A = rng.normal(size=(40, 5))
             b = rng.normal(size=40)
-            sys_ = RegressionSystem.from_dense(A, b, lam=1e-3, M=1e6)
+            sys_ = dense_system(A, b, lam=1e-3, M=1e6)
             rep = solve_reference(sys_, build_skew_constraints(2))
             w_direct = direct_equality_kkt(sys_)
             assert np.max(np.abs(rep.w_final - w_direct)) <= 1e-12 * max(1.0, np.max(np.abs(w_direct)))
 
     def test_box_active_agrees_with_admm(self):
-        sys_ = RegressionSystem.from_dense(np.eye(3), np.array([10.0, 0.0, -10.0]), lam=1e-3, M=2.0)
+        sys_ = dense_system(np.eye(3), np.array([10.0, 0.0, -10.0]), lam=1e-3, M=2.0)
         cs = build_skew_constraints(1)
         rep_ref = solve_reference(sys_, cs)
         rep_admm = solve_admm(sys_, cs, SolverOptions(max_iters=5000, tol=1e-15, rho=1.0))
@@ -430,7 +429,7 @@ class TestReference:
         free."""
         A = np.diag([1.0, 1.0, 1.0, 1.0, 1.0])
         b = np.array([5.0, -1.0, 0.0, 1.0, -5.0])
-        sys_ = RegressionSystem.from_dense(A, b, lam=0.0, M=3.0)
+        sys_ = dense_system(A, b, lam=0.0, M=3.0)
         rep = solve_reference(sys_, build_skew_constraints(2))
         assert np.allclose(rep.w_final, [3.0, -1.0, 0.0, 1.0, -3.0], atol=1e-10)
 
@@ -509,8 +508,7 @@ class TestMatchesLoop:
         if seed is None:
             sys_ = assemble_regression(training_set, R=R)
             if scale is not None:
-                prob = reduce_problem(sys_)
-                a_free = np.linalg.solve(prob.H, prob.g)
+                a_free = np.linalg.solve(sys_.H, sys_.g)
                 sys_ = assemble_regression(training_set, R=R, M=scale * float(np.max(np.abs(a_free))))
         else:
             sys_ = random_system(seed, R, box_scale=scale)
@@ -616,3 +614,33 @@ class TestReportsAndDispatch:
     def test_w_final_is_lifted(self, solver_reports):
         for rep in solver_reports.values():
             assert np.array_equal(rep.w_final, lift(skew_coordinates(rep.w_final)))
+
+
+class TestOneQP:
+    """The system is the QP every solve reads: its H and g are formed once,
+    and nothing a solve does changes what the next solve sees."""
+
+    @pytest.mark.parametrize("R", [1, 2, 3, 4])
+    def test_solves_of_one_system_match_fresh_systems(self, training_set, R):
+        shared, cs = assemble_regression(training_set, R=R), build_skew_constraints(R)
+        for method in (PG, NAG, ADMM, REFERENCE):
+            got = solve(method, shared, cs)
+            expected = solve(method, assemble_regression(training_set, R=R), cs)
+            for f in fields(SolverReport):
+                if f.name != "time_trace":
+                    assert np.array_equal(getattr(got, f.name), getattr(expected, f.name)), (method, f.name)
+
+    def test_every_array_is_read_only(self, training_set):
+        sys_ = assemble_regression(training_set, R=2)
+        for name in ("H", "g", "H_ext", "g_ext", "gram", "atb"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(sys_, name)[0] = 1.0
+
+    def test_keeps_no_caller_array_and_replace_forms_afresh(self):
+        """H = |lift(e_1)|^2 + 2 lam = 2 + 2 lam for the identity gram."""
+        gram, atb = np.eye(3), np.array([-1.0, 0.0, 1.0])
+        sys_ = RegressionSystem(gram=gram, atb=atb, btb=2.0, rows=3, lam=0.5)
+        assert sys_.H.tolist() == [[3.0]] and sys_.g.tolist() == [2.0]
+        gram[2, 2] = atb[2] = 7.0
+        assert sys_.gram[2, 2] == 1.0 and sys_.atb[2] == 1.0
+        assert replace(sys_, lam=1.5).H.tolist() == [[5.0]] and sys_.H.tolist() == [[3.0]]
