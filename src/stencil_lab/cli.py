@@ -44,9 +44,9 @@ from typing import Literal, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .analysis import cfl_bound, max_wave_speed
-from .core import Grid1D, NumericalError, Stencil, load_stencil, save_stencil
+from .core import Grid1D, NumericalError, Stencil, load_stencil
 from .experiments import EXPERIMENT_NAMES, ExperimentConfig, RunDir, default_training_config, merge, run_experiment
-from .experiments import DISPERSION_SAMPLES, dispersion_csvs, simulate_csvs
+from .experiments import DISPERSION_SAMPLES, DT_RATIO, N_STEPS, RADIUS, dispersion_csvs, simulate_csvs
 from .regression import RegressionSystem, assemble_regression, build_skew_constraints, check_penalties
 from .simulate import SimConfig
 from .solvers import SolverOptions, options_read, solve
@@ -63,7 +63,7 @@ _TRAINING = default_training_config()
 @dataclass(frozen=True, eq=False)
 class GenDataSettings:
     seed: int = field(default=_TRAINING.seed, metadata={"help": "PRNG seed"})
-    out: Path = field(default=Path("stencil-lab-out"), metadata={"help": "output directory"})
+    out: Path = field(default=ExperimentConfig.output_dir, metadata={"help": "output directory"})
     n_sims: int = field(default=_TRAINING.n_sims, metadata={"help": "training samples"})
     m_max: int = field(default=_TRAINING.m_max, metadata={"help": "highest Fourier mode"})
     grid_n: int = field(default=_TRAINING.grid.N, metadata={"help": "grid cells"})
@@ -74,8 +74,8 @@ class GenDataSettings:
 
 @dataclass(frozen=True, eq=False)
 class LearnSettings:
-    out: Path = field(default=Path("stencil-lab-out"), metadata={"help": "output directory"})
-    radius: int = field(default=1, metadata={"help": "stencil radius R"})
+    out: Path = field(default=ExperimentConfig.output_dir, metadata={"help": "output directory"})
+    radius: int = field(default=RADIUS, metadata={"help": "stencil radius R"})
     lam: float = field(default=RegressionSystem.lam, metadata={"help": "Tikhonov weight"})
     box: float = field(default=RegressionSystem.M, metadata={"help": "box bound M"})
     rho: float = field(default=SolverOptions.rho, metadata={"help": "ADMM penalty"})
@@ -92,20 +92,20 @@ class LearnSettings:
 
 @dataclass(frozen=True, eq=False)
 class SimulateSettings:
-    out: Path = field(default=Path("stencil-lab-out"), metadata={"help": "output directory"})
+    out: Path = field(default=ExperimentConfig.output_dir, metadata={"help": "output directory"})
     stencil: Path = field(default=None, metadata={"help": "stencil JSON file"})
     length: float = field(default=1.0, metadata={"help": "domain length, a whole number of stencil cells"})
-    dt_ratio: float = field(default=0.5, metadata={"help": "dt as multiple of dx"})
-    steps: int = field(default=300, metadata={"help": "time steps"})
+    dt_ratio: float = field(default=DT_RATIO, metadata={"help": "dt as multiple of dx"})
+    steps: int = field(default=N_STEPS, metadata={"help": "time steps"})
     snapshot_every: int = field(default=0, metadata={"help": "record E(x,t) every k steps, 0 for never"})
     engine: Literal["dense", "spectral"] = field(default="dense", metadata={"help": "Crank-Nicolson engine"})
 
 
 @dataclass(frozen=True, eq=False)
 class DispersionSettings:
-    out: Path = field(default=Path("stencil-lab-out"), metadata={"help": "output directory"})
+    out: Path = field(default=ExperimentConfig.output_dir, metadata={"help": "output directory"})
     stencil: Path = field(default=None, metadata={"help": "stencil JSON file"})
-    dt_ratio: float = field(default=0.5, metadata={"help": "dt as multiple of dx"})
+    dt_ratio: float = field(default=DT_RATIO, metadata={"help": "dt as multiple of dx"})
     samples: int = field(default=DISPERSION_SAMPLES, metadata={"help": "theta samples in (0, pi]"})
 
 
@@ -157,8 +157,7 @@ def _cmd_learn(s: LearnSettings) -> int:
     system = assemble_regression(ts, R=s.radius, lam=s.lam, M=s.box)
     report = run.record(s.method, solve(s.method, system, constraints, opts))
     stencil = Stencil(w=report.w_final, dx=ts.config.grid.dx)
-    save_stencil(stencil, run.path("stencil.json"))
-    run.write_json("solver_report.json", report.to_dict())
+    run.write_json("stencil.json", stencil.to_dict())
     run.write_trace("trace.csv", report)
     run.write_json("diagnostics.json", {"rows": system.rows, "cols": system.n_coeffs, "lambda": system.lam,
                                         "box_bound": system.M, "gram": system.gram.tolist()})
@@ -243,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # unset flags leave the file's or the preset's values
     p = _subcommand(sub, "experiment", _cmd_experiment, "run a scripted preset")
-    p.add_argument("--out", type=Path, default=None, help="output directory (default ./stencil-lab-out)")
+    p.add_argument("--out", type=Path, default=None, help=f"output directory (default ./{ExperimentConfig.output_dir})")
     p.add_argument("--seed", type=int, default=None, help="training seed (default: the preset's)")
     p.add_argument("name", choices=[name.replace("_", "-") for name in EXPERIMENT_NAMES])
     p.add_argument("--sigma", type=float, default=None, help="derivative noise std (default: the preset's)")
@@ -268,12 +267,12 @@ def main(argv: list[str] | None = None) -> int:
             if unread:
                 raise ValueError(f"learn --method {s.method} does not read setting(s): {', '.join(unread)}")
         return args.func(s)
+    except (NumericalError, np.linalg.LinAlgError) as exc:  # first: a LinAlgError is a ValueError
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

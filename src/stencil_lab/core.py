@@ -97,8 +97,10 @@ class Stencil:
         return cls(w=w, dx=float(dx))
 
 
-def save_stencil(stencil: Stencil, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(stencil.to_dict(), indent=2) + "\n")
+def lift(a: np.ndarray) -> np.ndarray:
+    """The skew stencil w = P a: w_{+l} = a_l, w_{-l} = -a_l, w_0 = 0."""
+    a = np.asarray(a, dtype=float)
+    return np.concatenate([-a[::-1], [0.0], a])
 
 
 def load_stencil(path: str | Path) -> Stencil:
@@ -215,5 +217,4 @@ def centered_difference_stencil(grid: Grid1D, R: int = 1) -> Stencil:
     R=1 gives (-1, 0, 1) / (2 dx) and R=2 (1, -8, 0, 8, -1) / (12 dx)."""
     c = [Fraction((-1) ** (l + 1) * factorial(R) ** 2, l * factorial(R - l) * factorial(R + l)) for l in range(1, R + 1)]
     q = lcm(*(f.denominator for f in c))
-    a = np.array([float(f * q) for f in c])
-    return Stencil(w=np.concatenate([-a[::-1], [0.0], a]) / (q * grid.dx), dx=grid.dx)
+    return Stencil(w=lift([float(f * q) for f in c]) / (q * grid.dx), dx=grid.dx)

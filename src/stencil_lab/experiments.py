@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import cn_dispersion, cn_reference_phase_ratio, convergence_study, symbol
-from .core import Grid1D, NumericalError, Stencil, centered_difference_stencil, save_stencil
+from .core import Grid1D, NumericalError, Stencil, centered_difference_stencil, lift
 from .regression import RegressionSystem, assemble_regression, build_skew_constraints
 from .simulate import (
     SimConfig,
@@ -38,16 +38,15 @@ from .training import TrainingConfig, TrainingSet, generate_operator_training_se
 
 DEFAULT_SEED = 20260811
 DISPERSION_SAMPLES = 512  # theta samples of table1's dispersion curves and the `dispersion` subcommand's default
+# the presets' defaults that the flat subcommands share: learn's radius, and the
+# time step (dt = DT_RATIO dx) and step count of simulate and dispersion
+RADIUS, DT_RATIO, N_STEPS = 1, 0.5, 300
 
-def default_training_config(seed: int = DEFAULT_SEED, grid: Grid1D | None = None) -> TrainingConfig:
+
+def default_training_config(seed: int = DEFAULT_SEED) -> TrainingConfig:
     """Standard training setup: N=64 cells on [0, 1], 200 samples with
     modes up to 5."""
-    return TrainingConfig(
-        n_sims=200,
-        m_max=5,
-        grid=grid if grid is not None else Grid1D(N=64, L=1.0),
-        seed=seed,
-    )
+    return TrainingConfig(n_sims=200, m_max=5, grid=Grid1D(N=64, L=1.0), seed=seed)
 
 
 def _fits(hint, value) -> bool:
@@ -176,14 +175,17 @@ class ExperimentConfig:
 
 
 class RunDir:
-    """Output directory of one run, which formats its CSV and JSON files
-    (a stencil file is written by save_stencil, at a path from `path`). It
+    """Output directory of one run, which formats its CSV and JSON files,
+    stencil files (Stencil.to_dict) included; only the training .npz has a
+    writer of its own (save_training_set, at a path from `path`). It
     records the name of every file written through `path` and every solver
     report passed to `record`, and `finish` derives manifest.json from
     those records, so the manifest cannot list a file the run did not write
-    or miss one it did. `header` holds what identifies the run (its name,
-    seed and config), in its JSON form. The directory is made at the first
-    `path`, so a run that fails its checks before writing leaves none."""
+    or miss one it did. A solve's record is its trace CSV, its stencil file
+    and its entry in the manifest's `solves`. `header` holds what
+    identifies the run (its name, seed and config), in its JSON form. The
+    directory is made at the first `path`, so a run that fails its checks
+    before writing leaves none."""
 
     def __init__(self, root: str | Path, **header):
         self.root = Path(root)
@@ -286,7 +288,7 @@ def nonstandard_target(grid: Grid1D) -> Stencil:
     experiment: (-2, 12, 0, -12, 2) / (12 dx). Deliberately far from the
     fourth-order centered difference while keeping O(1) low-mode wave
     speeds."""
-    return Stencil(w=np.array([-2.0, 12.0, 0.0, -12.0, 2.0]) / (12.0 * grid.dx), dx=grid.dx)
+    return Stencil(w=lift([-12.0, 2.0]) / (12.0 * grid.dx), dx=grid.dx)
 
 
 def _preset_run(cfg: ExperimentConfig) -> RunDir:
@@ -343,8 +345,7 @@ def run_table1(cfg: ExperimentConfig) -> dict:
         stencil = Stencil(w=report.w_final, dx=grid.dx)
         add_row(label, stencil)
         run.write_trace(f"trace_{label}.csv", report)
-        run.write_json(f"solver_{label}.json", report.to_dict())
-        save_stencil(stencil, run.path(f"stencil_{label}.json"))
+        run.write_json(f"stencil_{label}.json", stencil.to_dict())
 
     columns = ["method", "status", *offsets, "err", "r_eq", "energy_drift"]
     run.write_csv("table1.csv", columns, ([row.get(c) for c in columns] for row in rows))
@@ -392,7 +393,7 @@ def run_convergence(cfg: ExperimentConfig) -> dict:
     base_dx = cfg.training.grid.dx
 
     def provider(grid: Grid1D) -> Stencil:
-        ts = generate_training_set(cfg.training.with_grid(grid))
+        ts = generate_training_set(replace(cfg.training, grid=grid))
         # stencil coefficients scale like 1/dx, so the box must widen with
         # the resolution or it would clip the refined stencils
         box = cfg.box_bound * base_dx / grid.dx
@@ -428,7 +429,7 @@ def run_nonstandard(cfg: ExperimentConfig) -> dict:
         result = simulate_csvs(run, cfg.sim_config(stencil), ("energy", "final_field"), f"_{label}")
         drifts[label] = _energy_drift(result)
 
-    save_stencil(w_qp, run.path("stencil_learned.json"))
+    run.write_json("stencil_learned.json", w_qp.to_dict())
     run.write_trace("trace_admm.csv", solver_report)
     report = {
         "target_coefficients": [float(v) for v in w_star.w],
@@ -504,11 +505,11 @@ def run_noisy(cfg: ExperimentConfig) -> dict:
 # tuned so the unconstrained stencil blows up by many orders of magnitude
 # while everything stays float-finite.
 PRESETS = {
-    "table1": (run_table1, {"radius": 1, "dt_ratio": 0.5, "n_steps": 300}),
-    "convergence": (run_convergence, {"radius": 1, "dt_ratio": 0.2, "resolutions": (64, 128, 256, 512), "t_final": 10.0}),
-    "nonstandard": (run_nonstandard, {"dt_ratio": 0.5, "n_steps": 300}),
+    "table1": (run_table1, {"radius": RADIUS, "dt_ratio": DT_RATIO, "n_steps": N_STEPS}),
+    "convergence": (run_convergence, {"radius": RADIUS, "dt_ratio": 0.2, "resolutions": (64, 128, 256, 512), "t_final": 10.0}),
+    "nonstandard": (run_nonstandard, {"dt_ratio": DT_RATIO, "n_steps": N_STEPS}),
     "noisy": (run_noisy, {"training": replace(default_training_config(), noise_std=0.05),
-                          "radius": 3, "dt_ratio": 0.5, "n_steps": 300, "snapshot_every": 5}),
+                          "radius": 3, "dt_ratio": DT_RATIO, "n_steps": N_STEPS, "snapshot_every": 5}),
 }
 
 EXPERIMENT_NAMES = tuple(PRESETS)

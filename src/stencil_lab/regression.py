@@ -20,10 +20,11 @@ solver iteration costs O(R^2) regardless of the number of rows.
 
 Skew-adjointness (w_0 = 0, w_{-l} = -w_{+l}) is the only linear
 constraint. It is eliminated by the parametrization w = P a with free
-coefficients a_l = w_{+l} (lift); the box |w| <= M is then exactly
+coefficients a_l = w_{+l} (core.lift); the box |w| <= M is then exactly
 |a| <= M. The system is the R-unknown box QP in a that the solvers
 solve: RegressionSystem.H and .g are its Hessian and linear term,
-formed once, on first read.
+formed once, on first read, by pairing the entries of offsets +l and -l
+(no code forms P).
 """
 
 from __future__ import annotations
@@ -86,9 +87,11 @@ class RegressionSystem:
         object.__setattr__(self, "gram", _read_only(gram))
         object.__setattr__(self, "atb", _read_only(atb))
 
-    def _lift_ext(self) -> np.ndarray:
-        """P, whose columns are lift(e_l), in extended precision."""
-        return np.array([lift(e) for e in np.eye(self.R)], dtype=np.longdouble).T
+    def _pairs(self, x: np.ndarray) -> np.ndarray:
+        """P^T x along the first axis in extended precision: row l is
+        x_{+l} - x_{-l}, l = 1..R."""
+        x, R = x.astype(np.longdouble), self.R
+        return x[R + 1:] - x[R - 1::-1]
 
     @cached_property
     def H_ext(self) -> np.ndarray:
@@ -96,14 +99,13 @@ class RegressionSystem:
         A^T A are large next to H's small eigenvalues (condition number
         ~1e11 at R = 4 on the default data), so forming H in float64 loses
         digits to cancellation."""
-        P = self._lift_ext()
         lam2 = 2 * np.longdouble(self.lam) * np.eye(self.R, dtype=np.longdouble)
-        return _read_only(P.T @ self.gram.astype(np.longdouble) @ P + lam2)
+        return _read_only(self._pairs(self._pairs(self.gram).T).T + lam2)
 
     @cached_property
     def g_ext(self) -> np.ndarray:
         """g = P^T A^T b in extended precision."""
-        return _read_only(self._lift_ext().T @ self.atb.astype(np.longdouble))
+        return _read_only(self._pairs(self.atb))
 
     @cached_property
     def H(self) -> np.ndarray:
@@ -168,6 +170,8 @@ def assemble_regression(ts: TrainingSet, R: int, lam: float = RegressionSystem.l
     # (A^T b)[j] = sum_i u[i + j - R] v[i] = sum_i u[i] v[i - (j - R)]
     atb = np.array([np.vdot(X, np.roll(Y, j - R, axis=-1)) for j in range(2 * R + 1)])
     btb = float(np.vdot(ts.derivatives, ts.derivatives))
+    if not (np.isfinite(gram).all() and np.isfinite(atb).all() and isfinite(btb)):
+        raise ValueError("the training data's A^T A, A^T b or b^T b overflowed; its fields are too large")
     return RegressionSystem(gram=gram, atb=atb, btb=btb, rows=X.size, lam=lam, M=M, training=ts)
 
 
@@ -194,9 +198,3 @@ def build_skew_constraints(R: int) -> SkewConstraints:
     if R < 1:
         raise ValueError(f"radius must be >= 1, got {R}")
     return SkewConstraints(R)
-
-
-def lift(a: np.ndarray) -> np.ndarray:
-    """The skew stencil w = P a: w_{+l} = a_l, w_{-l} = -a_l, w_0 = 0."""
-    a = np.asarray(a, dtype=float)
-    return np.concatenate([-a[::-1], [0.0], a])

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalError, solve_refined
-from .regression import RegressionSystem, SkewConstraints, lift
+from .core import NumericalError, lift, solve_refined
+from .regression import RegressionSystem, SkewConstraints
 
 PG = "PG"
 NAG = "NAG"
@@ -106,15 +106,6 @@ class SolverReport:
     iterations: int
     method: str
     stop_reason: str
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "iterations": self.iterations,
-            "stop_reason": self.stop_reason,
-            "w_final": [float(v) for v in self.w_final],
-            **{name: [float(v) for v in getattr(self, name)] for name, _ in TRACE_COLUMNS},
-        }
 
 
 def _setup(sys: RegressionSystem, cs: SkewConstraints) -> float:
@@ -309,17 +300,21 @@ def _box_qp(sys: RegressionSystem) -> np.ndarray:
         f = sys.objective(a)
         if f < best_f:
             best, best_f = a, f
+    if best is None:
+        raise NumericalError(f"{REFERENCE}: no face of the box has a finite objective")
     return best
 
 
 def solve_reference(sys: RegressionSystem, cs: SkewConstraints, opts: SolverOptions = SolverOptions()) -> SolverReport:
     """Exact solve of the reduced box QP; the optimality baseline for
-    the first-order solvers. Records a single trace entry."""
+    the first-order solvers. Records a single trace entry. Raises
+    NumericalError when H is singular to working precision, where the
+    minimizer is not unique: lambda_min(H) <= R eps lambda_max(H)."""
     t0 = _setup(sys, cs)
-    try:
-        a = _box_qp(sys)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("reference solver: singular reduced Hessian") from exc
+    eigs = np.linalg.eigvalsh(sys.H)
+    if not eigs[0] > sys.R * np.finfo(float).eps * eigs[-1]:
+        raise NumericalError("reference solver: singular reduced Hessian")
+    a = _box_qp(sys)
     objective = sys.objective(a)
     if not math.isfinite(objective):
         raise NumericalError(f"{REFERENCE}: objective became non-finite at iteration 1")

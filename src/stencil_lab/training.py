@@ -16,7 +16,7 @@ as differentiating each field on its own.
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
 
@@ -48,10 +48,6 @@ class TrainingConfig:
             raise ValueError(f"amplitude_std must be positive and finite, got {self.amplitude_std}")
         if not (isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be nonnegative and finite, got {self.noise_std}")
-
-    def with_grid(self, grid: Grid1D) -> "TrainingConfig":
-        """Same sampling parameters on a different grid (convergence studies)."""
-        return replace(self, grid=grid)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,8 @@ def grid():
 
 @pytest.fixture(scope="session")
 def training_set(grid):
-    return generate_training_set(default_training_config(seed=DEFAULT_SEED, grid=grid))
+    assert grid == default_training_config().grid
+    return generate_training_set(default_training_config(seed=DEFAULT_SEED))
 
 
 @pytest.fixture(scope="session")

@@ -1,15 +1,16 @@
 """Reference implementations the tests compare the library against: the
 dense operator matrix D, the regression system of an explicit design
 matrix, the full-space objective and its gradient, the skew coordinates
-of a stencil (the skew projection), and the full length-N DFT of a real
-vector. The library itself needs none of them; it assembles its systems
-from the training fields without forming A, the solvers work in skew
-coordinates from the start, and the library's FFTs work on the rfft
-modes."""
+of a stencil (the skew projection), the reduced H and g formed with the
+matrix P, and the full length-N DFT of a real vector. The library itself
+needs none of them; it assembles its systems from the training fields
+without forming A, the solvers work in skew coordinates from the start,
+the system pairs the entries of offsets +l and -l instead of forming P,
+and the library's FFTs work on the rfft modes."""
 
 import numpy as np
 
-from stencil_lab.core import Stencil, circulant
+from stencil_lab.core import Stencil, circulant, lift
 from stencil_lab.regression import RegressionSystem
 
 
@@ -62,3 +63,11 @@ def skew_coordinates(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     R = (w.size - 1) // 2
     return 0.5 * (w[R + 1:] - w[R - 1::-1])
+
+
+def reduced_by_matrix(sys: RegressionSystem) -> tuple[np.ndarray, np.ndarray]:
+    """H = P^T (A^T A) P + 2 lam I and g = P^T A^T b in extended precision,
+    with P the matrix whose columns are lift(e_l)."""
+    P = np.array([lift(e) for e in np.eye(sys.R)], dtype=np.longdouble).T
+    lam2 = 2 * np.longdouble(sys.lam) * np.eye(sys.R, dtype=np.longdouble)
+    return P.T @ sys.gram.astype(np.longdouble) @ P + lam2, P.T @ sys.atb.astype(np.longdouble)

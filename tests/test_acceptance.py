@@ -5,6 +5,8 @@ All stochastic inputs are pinned to the default seed, so every number
 asserted here is reproducible bit-for-bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -47,7 +49,7 @@ def convergence_rows(grid):
     def provider(g):
         from stencil_lab.experiments import learn_stencil
 
-        ts = generate_training_set(cfg.training.with_grid(g))
+        ts = generate_training_set(replace(cfg.training, grid=g))
         stencil, _ = learn_stencil(ts, 1, ADMM, cfg.lam, cfg.box_bound * base_dx / g.dx)
         return stencil
 

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from stencil_lab import cli, experiments
-from stencil_lab.core import Grid1D, Stencil, centered_difference_stencil, load_stencil, save_stencil
-from stencil_lab.experiments import EXPERIMENT_NAMES, ExperimentConfig, default_training_config, learn_stencil, run_convergence
+from stencil_lab.core import Grid1D, Stencil, centered_difference_stencil, load_stencil
+from stencil_lab.experiments import EXPERIMENT_NAMES, ExperimentConfig, RunDir, default_training_config, learn_stencil, run_convergence
 from stencil_lab.regression import RegressionSystem, assemble_regression
 from stencil_lab.simulate import SimConfig, simulate, single_mode_initial_condition
 from stencil_lab.solvers import SolverOptions
@@ -60,7 +60,7 @@ class TestPipeline:
         assert abs(stencil["w"][2] - 32.0) / 32.0 < 0.05
         assert (workdir / "learned" / "trace.csv").exists()
         assert (workdir / "learned" / "diagnostics.json").exists()
-        assert json.loads((workdir / "learned" / "solver_report.json").read_text())["stop_reason"] == "tol"
+        assert json.loads((workdir / "learned" / "manifest.json").read_text())["solves"]["admm"]["stop_reason"] == "tol"
         assert "warning" not in proc.stderr
 
     def test_learn_warns_at_iteration_cap(self, workdir):
@@ -71,8 +71,8 @@ class TestPipeline:
         )
         assert proc.returncode == 0, proc.stderr
         assert "warning: NAG stopped at its iteration cap (5)" in proc.stderr
-        report = json.loads((workdir / "learned_nag" / "solver_report.json").read_text())
-        assert report["stop_reason"] == "max_iters"
+        solves = json.loads((workdir / "learned_nag" / "manifest.json").read_text())["solves"]
+        assert solves["nag"]["stop_reason"] == "max_iters"
 
     def test_simulate(self, workdir):
         proc = run_cli(
@@ -204,7 +204,7 @@ class TestConfigFile:
         assert json.loads((tmp_path / "learn" / "manifest.json").read_text())["config"]["max_iters"] is None
 
     def test_file_value_outside_choices_is_two(self, tmp_path):
-        save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
+        RunDir(tmp_path).write_json("s.json", centered_difference_stencil(Grid1D(N=64)).to_dict())
         (tmp_path / "cfg.json").write_text(json.dumps({"engine": "analog"}))
         proc = run_cli("simulate", "--stencil", str(tmp_path / "s.json"), "--config", str(tmp_path / "cfg.json"),
                        "--out", str(tmp_path / "out"))
@@ -258,7 +258,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command", ["simulate", "dispersion"])
     def test_file_gives_stencil_and_flag_beats_it(self, tmp_path, command):
-        save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
+        RunDir(tmp_path).write_json("s.json", centered_difference_stencil(Grid1D(N=64)).to_dict())
         (tmp_path / "cfg.json").write_text(json.dumps({"stencil": str(tmp_path / "s.json")}))
         proc = run_cli(command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
@@ -320,7 +320,7 @@ class TestSettings:
         for command, settings in _FLAT.items() for f in fields(settings)
     ])
     def test_flag_and_file_agree_and_flag_beats_it(self, tmp_path, capsys, data_file, command, key):
-        save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
+        RunDir(tmp_path).write_json("s.json", centered_difference_stencil(Grid1D(N=64)).to_dict())
         samples = {**_SAMPLES, "out": (tmp_path / "set", tmp_path / "unused"), "data": (data_file, tmp_path / "unused.npz"),
                    "stencil": (tmp_path / "s.json", tmp_path / "unused.json")}
         value, other = samples[key]
@@ -407,7 +407,7 @@ class TestExitCodes:
     def test_numerical_failure_is_one(self, tmp_path):
         # strongly non-skew stencil: Crank-Nicolson amplifies roundoff until overflow
         bad = Stencil(np.array([-120.0, 0.0, -120.0]), 1.0 / 64.0)
-        save_stencil(bad, tmp_path / "bad.json")
+        RunDir(tmp_path).write_json("bad.json", bad.to_dict())
         proc = run_cli(
             "simulate", "--stencil", str(tmp_path / "bad.json"),
             "--out", str(tmp_path), "--steps", "400",
@@ -419,14 +419,45 @@ class TestExitCodes:
         # (dt/2) mu(0) = 1 - 1e-10 at the default dt = dx/2: the dense engine's conjugate gradients hit their cap
         dx = 1.0 / 64.0
         a = (1.0 - 1e-10) / (0.5 * dx)
-        save_stencil(Stencil(np.array([a, 0.0, a]), dx), tmp_path / "s.json")
+        RunDir(tmp_path).write_json("s.json", Stencil(np.array([a, 0.0, a]), dx).to_dict())
         proc = run_cli("simulate", "--stencil", str(tmp_path / "s.json"), "--out", str(tmp_path / "out"), "--steps", "1")
         assert proc.returncode == 1
         assert "numerical failure" in proc.stderr and "did not converge" in proc.stderr
 
+    @pytest.mark.parametrize("method", ["pg", "nag", "admm", "ref"])
+    def test_overflowing_statistics_are_two(self, tmp_path, method):
+        # amplitudes of 1e300 are finite fields whose products overflow A^T A
+        assert cli.main(["gen-data", "--amplitude-std", "1e300", "--n-sims", "4", "--out", str(tmp_path)]) == 0
+        proc = run_cli("learn", "--method", method, "--data", str(tmp_path / "training_data.npz"),
+                       "--out", str(tmp_path / "out"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: the training data's A^T A, A^T b or b^T b overflowed; its fields are too large\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_linalg_error_in_a_solve_is_one(self, tmp_path, monkeypatch, capsys, data_file):
+        # np.linalg.LinAlgError is a ValueError, which alone would exit 2
+        def solve(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli, "solve", solve)
+        assert cli.main(["learn", "--method", "admm", "--data", str(data_file), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "numerical failure: Singular matrix\n"
+
+    @pytest.mark.parametrize("radius, code", [(4, 0), (6, 1), (7, 1)])
+    def test_reference_on_a_singular_hessian_is_one(self, tmp_path, capsys, training_set, radius, code):
+        """At lam = 0 on the default data, lambda_min(H) / lambda_max(H) is
+        7.5e-12 at R = 4. At R = 6 and 7 it is roundoff, below R eps (1.3e-15
+        and 1.6e-15): 6.3e-17 and -5.2e-18 on one BLAS thread, 2.3e-16 and
+        -3.6e-17 on two."""
+        save_training_set(training_set, tmp_path / "data.npz")
+        argv = ["learn", "--method", "ref", "--lam", "0", "--radius", str(radius), "--data", str(tmp_path / "data.npz")]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == code
+        if code:
+            assert capsys.readouterr().err == "numerical failure: reference solver: singular reduced Hessian\n"
+
     @pytest.mark.parametrize("engine", ["dense", "spectral"])
     def test_grid_too_small_for_stencil_is_two(self, tmp_path, engine):
-        save_stencil(centered_difference_stencil(Grid1D(N=64), 2), tmp_path / "s.json")
+        RunDir(tmp_path).write_json("s.json", centered_difference_stencil(Grid1D(N=64), 2).to_dict())
         proc = run_cli("simulate", "--stencil", str(tmp_path / "s.json"), "--length", "0.046875", "--engine", engine,
                        "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
@@ -548,7 +579,7 @@ class TestExitCodes:
          "dt_ratio must be positive and finite, got inf"),
     ], ids=["tol-nan", "lam-nan", "box-nan", "rho-inf", "length-inf", "length-nan", "t-final-nan", "dt-ratio-inf"])
     def test_non_finite_setting_is_two(self, tmp_path, argv, config, message):
-        save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
+        RunDir(tmp_path).write_json("s.json", centered_difference_stencil(Grid1D(N=64)).to_dict())
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = [str(tmp_path / arg) if arg in ("s.json", "cfg.json", "d.npz") else arg for arg in argv]
@@ -559,7 +590,7 @@ class TestExitCodes:
     # simulate does not run backward in time, as dispersion does not
     @pytest.mark.parametrize("argv", [["simulate", "--steps", "3"], ["dispersion"]], ids=["simulate", "dispersion"])
     def test_negative_dt_is_two(self, tmp_path, argv):
-        save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
+        RunDir(tmp_path).write_json("s.json", centered_difference_stencil(Grid1D(N=64)).to_dict())
         proc = run_cli(*argv, "--stencil", str(tmp_path / "s.json"), "--dt-ratio", "-0.5", "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert proc.stderr.strip() == "error: dt must be positive and finite, got -0.0078125"
@@ -591,7 +622,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_dispersion_without_samples_is_two(self, tmp_path, samples):
-        save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
+        RunDir(tmp_path).write_json("s.json", centered_difference_stencil(Grid1D(N=64)).to_dict())
         proc = run_cli("dispersion", "--stencil", str(tmp_path / "s.json"), "--samples", samples, "--out", str(tmp_path))
         assert proc.returncode == 2
         assert proc.stderr.strip() == f"error: the dispersion curves need at least one theta sample, got {samples}"
@@ -706,7 +737,7 @@ class TestSimulateGrid:
     """simulate runs on --length measured in cells of the stencil's own dx."""
 
     def test_length_sets_the_cell_count(self, tmp_path):
-        save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
+        RunDir(tmp_path).write_json("s.json", centered_difference_stencil(Grid1D(N=64)).to_dict())
         proc = run_cli("simulate", "--stencil", str(tmp_path / "s.json"), "--length", "2", "--steps", "20",
                        "--out", str(tmp_path / "out"))
         assert proc.returncode == 0, proc.stderr
@@ -718,7 +749,7 @@ class TestSimulateGrid:
 
     @pytest.mark.parametrize("length", ["1.3", "0.001"])
     def test_length_not_whole_stencil_cells_is_two(self, tmp_path, length):
-        save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
+        RunDir(tmp_path).write_json("s.json", centered_difference_stencil(Grid1D(N=64)).to_dict())
         proc = run_cli("simulate", "--stencil", str(tmp_path / "s.json"), "--length", length, "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
         assert proc.stderr == f"error: length {length} is not a whole number of stencil cells (dx=0.015625)\n"
@@ -746,7 +777,7 @@ class TestRemovedSettings:
                      id="experiment-file-solver_opts.step"),
     ])
     def test_removed_setting_is_two(self, tmp_path, capsys, data_file, command, flags, config, message):
-        save_stencil(centered_difference_stencil(Grid1D(N=64)), tmp_path / "s.json")
+        RunDir(tmp_path).write_json("s.json", centered_difference_stencil(Grid1D(N=64)).to_dict())
         required = {"learn": ["--method", "admm", "--data", str(data_file)], "experiment": ["table1"]}
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
@@ -807,9 +838,11 @@ def test_readme_commands_parse():
 
 
 def test_defaults_are_the_librarys():
-    """Each default of gen-data, learn and the presets is the library value
-    it stands for: gen-data's build the standard training set, and every
-    regression and solver default is RegressionSystem's and SolverOptions'."""
+    """Each default of the subcommands and the presets is the library value
+    it stands for: gen-data's build the standard training set, every
+    regression and solver default is RegressionSystem's and SolverOptions',
+    and learn's radius, simulate's and dispersion's time step and step
+    count and every output directory are the presets'."""
     gen = cli.GenDataSettings()
     assert TrainingConfig(n_sims=gen.n_sims, m_max=gen.m_max, grid=Grid1D(N=gen.grid_n, L=gen.length), seed=gen.seed,
                           amplitude_std=gen.amplitude_std, noise_std=gen.sigma) == default_training_config()
@@ -821,3 +854,11 @@ def test_defaults_are_the_librarys():
     assert (learn.lam, learn.box) == (preset.lam, preset.box_bound) == penalties == (1e-6, 100.0)
     assert (learn.rho, learn.tol, learn.max_iters) == (opts.rho, opts.tol, opts.max_iters) == (0.05, 1e-12, None)
     assert preset.solver_opts == opts
+    presets = {name: ExperimentConfig(name=name) for name in EXPERIMENT_NAMES}
+    assert learn.radius == presets["table1"].radius == presets["convergence"].radius == 1
+    sim, disp = cli.SimulateSettings(), cli.DispersionSettings()
+    for name in ("table1", "nonstandard", "noisy"):
+        assert (sim.dt_ratio, disp.dt_ratio, sim.steps) == (presets[name].dt_ratio, presets[name].dt_ratio, presets[name].n_steps)
+    assert (sim.dt_ratio, sim.steps) == (0.5, 300)
+    outs = {s.out for s in (gen, learn, sim, disp)} | {cfg.output_dir for cfg in presets.values()}
+    assert outs == {Path("stencil-lab-out")}

@@ -13,8 +13,8 @@ from stencil_lab.core import (
     inner_product,
     load_stencil,
     rfft_modes,
-    save_stencil,
 )
+from stencil_lab.experiments import RunDir
 from stencil_lab.regression import build_skew_constraints
 
 from oracles import operator_matrix
@@ -234,7 +234,7 @@ class TestStencilSerialization:
     def test_roundtrip(self, tmp_path, rng):
         s = random_skew_stencil(rng, 2, 1.0 / 128.0)
         path = tmp_path / "stencil.json"
-        save_stencil(s, path)
+        RunDir(tmp_path).write_json(path.name, s.to_dict())
         data = json.loads(path.read_text())
         assert set(data) == {"R", "w", "dx"}
         assert data["R"] == 2

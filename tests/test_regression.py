@@ -7,16 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from stencil_lab.core import Grid1D
+from stencil_lab.core import Grid1D, lift
 from stencil_lab.regression import (
     RegressionSystem,
     assemble_regression,
     build_skew_constraints,
-    lift,
 )
 from stencil_lab.training import TrainingConfig, TrainingSet, generate_training_set
 
-from oracles import dense_system, objective_and_gradient, operator_matrix, skew_coordinates
+from oracles import dense_system, objective_and_gradient, operator_matrix, reduced_by_matrix, skew_coordinates
 
 
 class TestAssembly:
@@ -255,6 +254,21 @@ class TestReducedProblem:
             f, grad = objective_and_gradient(system_r1, lift(a))
             assert system_r1.objective(a) == pytest.approx(f, rel=1e-10)
             assert system_r1.H @ a - system_r1.g == pytest.approx(grad[2] - grad[0], rel=1e-10)
+
+    @pytest.mark.parametrize("R", range(1, 7))
+    def test_pairing_is_the_matrix_form_on_assembled_systems(self, training_set, R):
+        sys_ = assemble_regression(training_set, R=R, lam=0.0 if R % 2 else 1e-6)
+        H, g = reduced_by_matrix(sys_)
+        assert np.array_equal(sys_.H_ext, H) and np.array_equal(sys_.g_ext, g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda R: st.tuples(
+        arrays(np.float64, (2 * R + 1, 2 * R + 1), elements=st.floats(-1e6, 1e6)),
+        arrays(np.float64, 2 * R + 1, elements=st.floats(-1e6, 1e6)))), st.floats(0.0, 10.0))
+    def test_pairing_is_the_matrix_form(self, gram_atb, lam):
+        sys_ = RegressionSystem(*gram_atb, btb=1.0, rows=1, lam=lam)
+        H, g = reduced_by_matrix(sys_)
+        assert np.array_equal(sys_.H_ext, H) and np.array_equal(sys_.g_ext, g)
 
     def test_skew_coordinates_invert_lift(self, rng):
         a = rng.normal(size=4)

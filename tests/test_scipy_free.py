@@ -85,12 +85,13 @@ from pathlib import Path
 
 import stencil_lab
 from stencil_lab import cli
-from stencil_lab.core import Grid1D, centered_difference_stencil, save_stencil
+from stencil_lab.core import Grid1D, centered_difference_stencil
+from stencil_lab.experiments import RunDir
 
 for module in pkgutil.iter_modules(stencil_lab.__path__):
     importlib.import_module("stencil_lab." + module.name)
 out = Path(sys.argv[2])
-save_stencil(centered_difference_stencil(Grid1D(N=64)), out / "s.json")
+RunDir(out).write_json("s.json", centered_difference_stencil(Grid1D(N=64)).to_dict())
 assert cli.main(["gen-data", "--out", str(out / "data"), "--n-sims", "2"]) == 0
 assert cli.main(["dispersion", "--stencil", str(out / "s.json"), "--out", str(out / "disp")]) == 0
 assert "scipy" not in sys.modules, sorted(name for name in sys.modules if name.startswith("scipy"))

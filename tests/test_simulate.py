@@ -18,11 +18,10 @@ from stencil_lab.core import (
     circulant,
     discrete_energy,
     fourier_symbol,
+    lift,
     load_stencil,
-    save_stencil,
 )
 from stencil_lab.experiments import ExperimentConfig, RunDir, nonstandard_target, run_noisy, simulate_csvs
-from stencil_lab.regression import lift
 from stencil_lab.solvers import ADMM, NAG, PG, REFERENCE
 from stencil_lab.simulate import (
     ENGINES,
@@ -529,7 +528,7 @@ class TestDensePath:
 
     @pytest.mark.parametrize("method", [PG, NAG, ADMM, REFERENCE])
     def test_learned_after_round_trip(self, monkeypatch, grid, solver_reports, method, tmp_path):
-        save_stencil(Stencil(solver_reports[method].w_final, grid.dx), tmp_path / "stencil.json")
+        RunDir(tmp_path).write_json("stencil.json", Stencil(solver_reports[method].w_final, grid.dx).to_dict())
         self.one_build(monkeypatch, load_stencil(tmp_path / "stencil.json"), grid)
 
     def test_noisy_presets_unconstrained_stencil_builds_two(self, monkeypatch, tmp_path):
