@@ -83,6 +83,7 @@ def cn_dispersion(stencil: Stencil, dt: float, thetas: np.ndarray | Sequence[flo
     )
 
 
+@np.errstate(over="ignore")  # past the largest float, arctan(inf) = pi/2 is the limit
 def cn_reference_phase_ratio(dt: float, dx: float, thetas: np.ndarray) -> np.ndarray:
     """Exact CN phase for the continuous spectral symbol lam = i theta / dx,
     the 'continuous reference' curve of the dispersion plots."""

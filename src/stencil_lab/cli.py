@@ -46,7 +46,7 @@ import numpy as np
 from .analysis import cfl_bound, max_wave_speed
 from .core import Grid1D, NumericalError, Stencil, load_stencil
 from .experiments import EXPERIMENT_NAMES, ExperimentConfig, RunDir, default_training_config, merge, run_experiment
-from .experiments import DISPERSION_SAMPLES, DT_RATIO, N_STEPS, RADIUS, dispersion_csvs, simulate_csvs
+from .experiments import DISPERSION_SAMPLES, DT_RATIO, N_STEPS, RADIUS, dispersion_csvs, energy_drift, simulate_csvs
 from .regression import RegressionSystem, assemble_regression, build_skew_constraints, check_penalties
 from .simulate import SimConfig
 from .solvers import SolverOptions, options_read, solve
@@ -69,7 +69,6 @@ class GenDataSettings:
     grid_n: int = field(default=_TRAINING.grid.N, metadata={"help": "grid cells"})
     length: float = field(default=_TRAINING.grid.L, metadata={"help": "domain length"})
     sigma: float = field(default=_TRAINING.noise_std, metadata={"help": "derivative noise std"})
-    amplitude_std: float = field(default=_TRAINING.amplitude_std, metadata={"help": "mode amplitude std"})
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +138,7 @@ def _read_manifest(root: Path) -> dict:
 
 def _cmd_gen_data(s: GenDataSettings) -> int:
     run = RunDir(s.out, command="gen-data", seed=s.seed, config=asdict(s))
-    cfg = TrainingConfig(n_sims=s.n_sims, m_max=s.m_max, grid=Grid1D(N=s.grid_n, L=s.length), seed=s.seed,
-                         amplitude_std=s.amplitude_std, noise_std=s.sigma)
+    cfg = TrainingConfig(n_sims=s.n_sims, m_max=s.m_max, grid=Grid1D(N=s.grid_n, L=s.length), seed=s.seed, noise_std=s.sigma)
     save_training_set(generate_training_set(cfg), run.path("training_data.npz"))
     print(f"{cfg.n_sims} samples, N={cfg.grid.N}, m_max={cfg.m_max}, sigma={cfg.noise_std}")
     return _announce(run.root, run.finish())
@@ -182,8 +180,7 @@ def _cmd_simulate(s: SimulateSettings) -> int:
     kinds = ("energy", "final_field", "spacetime") if s.snapshot_every else ("energy", "final_field")
     sim_cfg = SimConfig(dt=dt, n_steps=s.steps, grid=grid, stencil=stencil)
     result = simulate_csvs(run, sim_cfg, kinds, snapshot_every=s.snapshot_every or None, engine=s.engine)
-    e = result.energy_series
-    print(f"steps={s.steps} dt={dt:.6g} energy drift={np.max(np.abs(e - e[0])):.3e}")
+    print(f"steps={s.steps} dt={dt:.6g} relative energy drift={energy_drift(result):.3e}")
     return _announce(run.root, run.finish())
 
 

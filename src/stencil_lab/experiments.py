@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .analysis import cn_dispersion, cn_reference_phase_ratio, convergence_study, symbol
 from .core import Grid1D, NumericalError, Stencil, centered_difference_stencil, lift
-from .regression import RegressionSystem, assemble_regression, build_skew_constraints
+from .regression import RegressionSystem, assemble_regression, build_skew_constraints, check_penalties
 from .simulate import (
     SimConfig,
     SimResult,
@@ -145,6 +145,7 @@ class ExperimentConfig:
                 object.__setattr__(self, key, value)
         if not (np.isfinite(self.dt_ratio) and self.dt_ratio > 0):  # every preset reads it
             raise ValueError(f"dt_ratio must be positive and finite, got {self.dt_ratio}")
+        check_penalties(self.lam, self.box_bound)  # before any data is generated
         if self.resolutions is not None:
             object.__setattr__(self, "resolutions", tuple(self.resolutions))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
@@ -295,7 +296,8 @@ def _preset_run(cfg: ExperimentConfig) -> RunDir:
     return RunDir(cfg.output_dir, experiment=cfg.name, seed=cfg.training.seed, config=cfg.to_dict())
 
 
-def _energy_drift(result: SimResult) -> float:
+def energy_drift(result: SimResult) -> float:
+    """max_k |E_k - E_0| / E_0 over the run's energy series."""
     e0 = result.energy_series[0]
     return float(np.max(np.abs(result.energy_series - e0)) / e0)
 
@@ -324,7 +326,7 @@ def run_table1(cfg: ExperimentConfig) -> dict:
     def add_row(label: str, stencil: Stencil):
         results = {tag: simulate_csvs(run, cfg.sim_config(stencil, ratio), ("energy",), f"_{label}{tag}")
                    for tag, ratio in (("", cfg.dt_ratio), ("_dt2x", 2 * cfg.dt_ratio))}
-        drifts.update({label + tag: _energy_drift(result) for tag, result in results.items()})
+        drifts.update({label + tag: energy_drift(result) for tag, result in results.items()})
         finals[label] = results[""].final.E
         if label in ("exact_fd", "admm"):
             amp_errors[label] = dispersion_csvs(run, stencil, cfg.dt_ratio * grid.dx, DISPERSION_SAMPLES, f"_{label}")
@@ -427,7 +429,7 @@ def run_nonstandard(cfg: ExperimentConfig) -> dict:
     drifts = {}
     for label, stencil in (("target", w_star), ("learned", w_qp), ("centered4", w_cd)):
         result = simulate_csvs(run, cfg.sim_config(stencil), ("energy", "final_field"), f"_{label}")
-        drifts[label] = _energy_drift(result)
+        drifts[label] = energy_drift(result)
 
     run.write_json("stencil_learned.json", w_qp.to_dict())
     run.write_trace("trace_admm.csv", solver_report)
@@ -480,7 +482,7 @@ def run_noisy(cfg: ExperimentConfig) -> dict:
         else:
             entry["status"] = "ok"
             entry["energy_ratio"] = float(result.energy_series[-1] / result.energy_series[0])
-            entry["relative_energy_drift"] = _energy_drift(result)
+            entry["relative_energy_drift"] = energy_drift(result)
             finals[label] = result.final.E
         entry["coefficients"] = [float(v) for v in stencil.w]
         entries[label] = entry

@@ -40,9 +40,11 @@ from .training import TrainingSet
 
 def check_penalties(lam: float, M: float) -> None:
     """Raise ValueError unless the ridge weight lam is nonnegative and
-    finite and the box bound M is positive."""
+    finite, with 2 lam finite too, and the box bound M is positive."""
     if not (isfinite(lam) and lam >= 0):
         raise ValueError(f"lam must be nonnegative and finite, got {lam}")
+    if not isfinite(2 * lam):  # H holds 2 lam
+        raise ValueError(f"lam must be at most half the largest float (H holds 2 lam), got {lam}")
     if not M > 0:  # M = inf leaves the box open; NaN fails this test
         raise ValueError(f"box bound M must be positive, got {M}")
 

@@ -105,6 +105,7 @@ def max_cn_amplification(cfg: SimConfig) -> float:
 # refinement step S was within 4.1e-15 max(1, |S|) of the exact circulant over
 # 4,000 random columns (R <= 6, N <= 250, |dt| <= 8 dx), as it was with 1e-16
 _CG_RTOL = 1e-13
+_ILL_CONDITIONED = "Crank-Nicolson system too ill-conditioned for the dense engine: conjugate gradients"
 
 
 def _periodic_correlate(g: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -117,21 +118,25 @@ def _periodic_correlate(g: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _cg(g: np.ndarray, r: np.ndarray, cap: int) -> np.ndarray:
     """x with G x = r by conjugate gradients from x = 0, for the symmetric
     positive definite circulant G of stencil g. Returns zero at once when
-    r is zero; raises NumericalError after cap iterations (also when the
-    residual turns non-finite)."""
+    r is zero. Raises NumericalError when r is not finite (the CN system
+    overflowed), after cap iterations, and once p^T G p is not positive,
+    which only roundoff or overflow causes."""
     x = np.zeros_like(r)
     rr = r @ r
+    if not math.isfinite(rr):
+        raise NumericalError("Crank-Nicolson system overflowed in the dense engine: dt is too large for it")
     stop = _CG_RTOL**2 * rr
     p = r
     k = 0
     while not rr <= stop:
         if k == cap:
-            raise NumericalError(
-                f"Crank-Nicolson system too ill-conditioned for the dense engine: conjugate gradients "
-                f"did not converge in {cap} iterations")
+            raise NumericalError(f"{_ILL_CONDITIONED} did not converge in {cap} iterations")
         k += 1
         q = _periodic_correlate(g, p)
-        alpha = rr / (p @ q)
+        pq = p @ q
+        if not pq > 0.0:  # NaN too
+            raise NumericalError(f"{_ILL_CONDITIONED} did not converge: p^T G p = {pq} at iteration {k}")
+        alpha = rr / pq
         x += alpha * p
         r = r - alpha * q
         rr, rr_old = r @ r, rr
@@ -154,7 +159,8 @@ def cayley_matrix(cfg: SimConfig, sign: int) -> np.ndarray:
     delays it: at time steps of hundreds of cells a solve took up to
     about 6 N iterations (N = 1024, dt = 655 dx). Each solve is capped at
     10 N iterations and raises NumericalError there, as it does for a
-    near-singular CN system, which CG cannot resolve."""
+    near-singular CN system, which CG cannot resolve, and for one whose
+    build overflows (at time steps of ~1e90 cells and up)."""
     R, N = cfg.stencil.R, cfg.grid.N
     unit = np.eye(1, 2 * R + 1, R)[0]  # the identity's stencil
     hw = sign * 0.5 * cfg.dt * cfg.stencil.w  # h D

@@ -1,6 +1,6 @@
 """Band-limited random Maxwell states and their exact time derivatives.
 
-Each sample draws E and H as truncated Fourier series with Gaussian
+Each sample draws E and H as truncated Fourier series with N(0, 1)
 amplitudes and uniform phases, then sets dE/dt = d_x H and dH/dt = d_x E
 using FFT-based spectral differentiation, so the targets are exact up to
 roundoff for the resolved modes. Optional Gaussian noise perturbs the
@@ -31,12 +31,13 @@ class TrainingConfig:
     m_max: int
     grid: Grid1D
     seed: int
-    amplitude_std: float = 1.0
     noise_std: float = 0.0
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.seed >= 2**64:  # the training file holds it as a uint64
+            raise ValueError(f"seed must be below 2**64, got {self.seed}")
         if self.n_sims < 1:
             raise ValueError(f"n_sims must be >= 1, got {self.n_sims}")
         if not 1 <= self.m_max < self.grid.N / 2:
@@ -44,8 +45,6 @@ class TrainingConfig:
                 f"m_max must satisfy 1 <= m_max < N/2 so all modes are resolved, "
                 f"got m_max={self.m_max} with N={self.grid.N}"
             )
-        if not (isfinite(self.amplitude_std) and self.amplitude_std > 0):
-            raise ValueError(f"amplitude_std must be positive and finite, got {self.amplitude_std}")
         if not (isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be nonnegative and finite, got {self.noise_std}")
 
@@ -66,6 +65,9 @@ class TrainingSet:
                 f"arrays must have shape {expected}, got states {self.states.shape}, "
                 f"derivatives {self.derivatives.shape}"
             )
+        # bounds every lag product of the regression statistics (Cauchy-Schwarz)
+        if not np.isfinite(np.vdot(self.states, self.states) + np.vdot(self.derivatives, self.derivatives)):
+            raise ValueError("the training fields' sum of squares is not finite; A^T A, A^T b and b^T b would overflow")
 
 
 def spectral_derivative(u: np.ndarray, grid: Grid1D) -> np.ndarray:
@@ -87,12 +89,14 @@ def _sample_fields(rng: np.random.Generator, cfg: TrainingConfig, phase_arg: np.
     a_m sin(2 pi m x / L + phi_m), with phase_arg[m - 1] = 2 pi m x / L."""
     state = np.empty((2, cfg.grid.N))
     for row in range(2):
-        amps = rng.normal(0.0, cfg.amplitude_std, size=cfg.m_max)
+        amps = rng.normal(0.0, 1.0, size=cfg.m_max)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=cfg.m_max)
         state[row] = amps @ np.sin(phase_arg + phases[:, None])
     return state
 
 
+# a field that overflows (at an extreme L or noise_std) warns nothing here: TrainingSet rejects it
+@np.errstate(over="ignore", invalid="ignore")
 def _generate(cfg: TrainingConfig, derivative) -> TrainingSet:
     n, N = cfg.n_sims, cfg.grid.N
     modes = np.arange(1, cfg.m_max + 1)
@@ -135,11 +139,10 @@ def save_training_set(ts: TrainingSet, path: str | Path) -> None:
         m_max=cfg.m_max,
         seed=cfg.seed,
         sigma=cfg.noise_std,
-        amplitude_std=cfg.amplitude_std,
     )
 
 
-_FILE_KEYS = ("states", "derivatives", "n_sims", "N", "L", "m_max", "seed", "sigma", "amplitude_std")
+_FILE_KEYS = ("states", "derivatives", "n_sims", "N", "L", "m_max", "seed", "sigma")
 
 
 def _open_archive(path: str | Path) -> np.lib.npyio.NpzFile:
@@ -178,9 +181,11 @@ def load_training_set(path: str | Path) -> TrainingSet:
                 m_max=_integer_field(data, "m_max", path),
                 grid=Grid1D(N=_integer_field(data, "N", path), L=_number_field(data, "L", path)),
                 seed=_integer_field(data, "seed", path),
-                amplitude_std=_number_field(data, "amplitude_std", path),
                 noise_std=_number_field(data, "sigma", path),
             )
+            # older files state their amplitude std; the data read here has unit amplitude
+            if "amplitude_std" in data and _number_field(data, "amplitude_std", path) != 1.0:
+                raise ValueError(f"training file {path}: header field amplitude_std must be 1.0, got {data['amplitude_std']}")
             return TrainingSet(states=data["states"], derivatives=data["derivatives"], config=cfg)
     except (EOFError, zipfile.BadZipFile, TypeError) as exc:
         # a truncated archive, or a header field that is not a scalar

@@ -135,12 +135,13 @@ class TestPipeline:
         # the seed and the training settings are the data file's; config holds learn's own options
         manifest = json.loads((workdir / "learned" / "manifest.json").read_text())
         with np.load(workdir / "training_data.npz") as data:
-            held = {key: data[key].item() for key in ("seed", "n_sims", "m_max", "N", "L", "amplitude_std", "sigma")}
+            held = {key: data[key].item() for key in ("seed", "n_sims", "m_max", "N", "L", "sigma")}
+            assert sorted(data.files) == sorted(["states", "derivatives", *held])
         assert manifest["seed"] == held["seed"] == 9
         assert manifest["training"] == {
             "n_sims": held["n_sims"], "m_max": held["m_max"], "grid": {"N": held["N"], "L": held["L"]},
-            "seed": held["seed"], "amplitude_std": held["amplitude_std"], "noise_std": held["sigma"],
-        } == {"n_sims": 40, "m_max": 5, "grid": {"N": 64, "L": 1.0}, "seed": 9, "amplitude_std": 1.0, "noise_std": 0.0}
+            "seed": held["seed"], "noise_std": held["sigma"],
+        } == {"n_sims": 40, "m_max": 5, "grid": {"N": 64, "L": 1.0}, "seed": 9, "noise_std": 0.0}
         # the layout of a preset manifest's training entry
         assert ExperimentConfig(name="table1").to_dict()["training"].keys() == manifest["training"].keys()
         assert set(manifest["config"]) == {"out", "radius", "lam", "box", "rho", "max_iters", "tol", "method", "data"}
@@ -292,7 +293,7 @@ _FLAT = {"gen-data": cli.GenDataSettings, "learn": cli.LearnSettings, "simulate"
 # a value of each flat setting but out, data and stencil, and another that the flag's value beats in the file
 _SAMPLES = {
     "seed": (3, 4), "n_sims": (12, 7), "m_max": (3, 2), "grid_n": (32, 48), "length": (2.0, 0.5), "sigma": (0.1, 0.2),
-    "amplitude_std": (2.0, 0.5), "radius": (2, 3), "lam": (1e-5, 1e-4), "box": (50.0, 60.0), "rho": (0.1, 0.2),
+    "radius": (2, 3), "lam": (1e-5, 1e-4), "box": (50.0, 60.0), "rho": (0.1, 0.2),
     "max_iters": (3, 5), "tol": (1e-8, 1e-9), "method": ("nag", "pg"), "dt_ratio": (0.25, 0.4), "steps": (10, 4),
     "snapshot_every": (5, 7), "engine": ("spectral", "dense"), "samples": (16, 32),
 }
@@ -426,13 +427,51 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("method", ["pg", "nag", "admm", "ref"])
     def test_overflowing_statistics_are_two(self, tmp_path, method):
-        # amplitudes of 1e300 are finite fields whose products overflow A^T A
-        assert cli.main(["gen-data", "--amplitude-std", "1e300", "--n-sims", "4", "--out", str(tmp_path)]) == 0
-        proc = run_cli("learn", "--method", method, "--data", str(tmp_path / "training_data.npz"),
-                       "--out", str(tmp_path / "out"))
+        # fields of 1e300 are finite, but their squares overflow A^T A
+        path = tmp_path / "data.npz"
+        save_training_set(generate_training_set(TrainingConfig(n_sims=4, m_max=5, grid=Grid1D(N=64), seed=1)), path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        np.savez(path, **{**arrays, "states": 1e300 * arrays["states"]})
+        proc = run_cli("learn", "--method", method, "--data", str(path), "--out", str(tmp_path / "out"))
         assert proc.returncode == 2
-        assert proc.stderr == "error: the training data's A^T A, A^T b or b^T b overflowed; its fields are too large\n"
+        assert proc.stderr == ("error: the training fields' sum of squares is not finite; "
+                               "A^T A, A^T b and b^T b would overflow\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("method", ["pg", "nag", "admm", "ref"])
+    def test_lam_whose_double_overflows_is_two(self, tmp_path, capsys, method):
+        # the data file does not exist: lam is refused before it is read
+        argv = ["learn", "--method", method, "--lam", "1e308", "--data", str(tmp_path / "none.npz")]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: lam must be at most half the largest float (H holds 2 lam), got 1e+308\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", [name.replace("_", "-") for name in EXPERIMENT_NAMES])
+    def test_preset_lam_whose_double_overflows_is_two(self, tmp_path, monkeypatch, capsys, name):
+        def generate(*args):
+            raise AssertionError("the preset generated training data before checking lam")
+
+        for fn in ("generate_training_set", "generate_operator_training_set"):
+            monkeypatch.setattr(experiments, fn, generate)
+        (tmp_path / "cfg.json").write_text(json.dumps({"lam": 1e308}))
+        assert cli.main(["experiment", name, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: lam must be at most half the largest float (H holds 2 lam), got 1e+308\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("amplitude, code", [(1.0, 0), (3.0, 2)])
+    def test_older_training_file_must_state_unit_amplitude(self, tmp_path, capsys, data_file, amplitude, code):
+        # a file written while the amplitude was a setting holds an amplitude_std member
+        path = tmp_path / "old.npz"
+        with np.load(data_file) as data:
+            np.savez(path, **{name: data[name] for name in data.files}, amplitude_std=np.float64(amplitude))
+        assert cli.main(["learn", "--method", "ref", "--data", str(path), "--out", str(tmp_path / "old")]) == code
+        if code:
+            assert capsys.readouterr().err == f"error: training file {path}: header field amplitude_std must be 1.0, got 3.0\n"
+            assert not (tmp_path / "old").exists()
+        else:
+            assert cli.main(["learn", "--method", "ref", "--data", str(data_file), "--out", str(tmp_path / "new")]) == 0
+            assert (tmp_path / "old" / "stencil.json").read_bytes() == (tmp_path / "new" / "stencil.json").read_bytes()
 
     def test_linalg_error_in_a_solve_is_one(self, tmp_path, monkeypatch, capsys, data_file):
         # np.linalg.LinAlgError is a ValueError, which alone would exit 2
@@ -526,7 +565,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value, message", [
         ("L", np.nan, "domain length must be positive and finite, got L=nan"),
         ("sigma", np.nan, "noise_std must be nonnegative and finite, got nan"),
-        ("amplitude_std", np.inf, "amplitude_std must be positive and finite, got inf"),
+        ("amplitude_std", np.inf, "training file {path}: header field amplitude_std must be 1.0, got inf"),
         ("L", "one", "training file {path}: header field L must be a number, got one"),
     ], ids=["L-nan", "sigma-nan", "amplitude_std-inf", "L-text"])
     def test_bad_training_number_header_is_two(self, tmp_path, key, value, message):
@@ -543,8 +582,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag, value, message", [
         ("--length", "nan", "domain length must be positive and finite, got L=nan"),
         ("--sigma", "nan", "noise_std must be nonnegative and finite, got nan"),
-        ("--amplitude-std", "inf", "amplitude_std must be positive and finite, got inf"),
-    ], ids=["length-nan", "sigma-nan", "amplitude_std-inf"])
+    ], ids=["length-nan", "sigma-nan"])
     def test_non_finite_training_flag_is_two(self, tmp_path, flag, value, message):
         proc = run_cli("gen-data", flag, value, "--n-sims", "2", "--out", str(tmp_path))
         assert proc.returncode == 2
@@ -760,6 +798,7 @@ class TestSimulateGrid:
 _REMOVED = [
     *(("learn", flag, value) for flag, value in (("n-sims", "7"), ("m-max", "3"), ("grid-n", "128"), ("length", "2.0"),
                                                  ("sigma", "0.3"), ("amplitude-std", "2.0"), ("seed", "99"))),
+    ("gen-data", "amplitude-std", "2"),
     ("simulate", "seed", "77"), ("simulate", "dt", "0.001"), ("simulate", "grid-n", "128"),
     ("dispersion", "seed", "5"), ("dispersion", "dt", "0.001"),
 ]
@@ -775,10 +814,12 @@ class TestRemovedSettings:
         )),
         pytest.param("experiment", [], {"solver_opts": {"step": 1}}, "error: unknown config key(s): solver_opts.step",
                      id="experiment-file-solver_opts.step"),
+        pytest.param("experiment", [], {"training": {"amplitude_std": 2}}, "error: unknown config key(s): training.amplitude_std",
+                     id="experiment-file-training.amplitude_std"),
     ])
     def test_removed_setting_is_two(self, tmp_path, capsys, data_file, command, flags, config, message):
         RunDir(tmp_path).write_json("s.json", centered_difference_stencil(Grid1D(N=64)).to_dict())
-        required = {"learn": ["--method", "admm", "--data", str(data_file)], "experiment": ["table1"]}
+        required = {"gen-data": [], "learn": ["--method", "admm", "--data", str(data_file)], "experiment": ["table1"]}
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
             flags = [*flags, "--config", str(tmp_path / "cfg.json")]
@@ -845,7 +886,7 @@ def test_defaults_are_the_librarys():
     count and every output directory are the presets'."""
     gen = cli.GenDataSettings()
     assert TrainingConfig(n_sims=gen.n_sims, m_max=gen.m_max, grid=Grid1D(N=gen.grid_n, L=gen.length), seed=gen.seed,
-                          amplitude_std=gen.amplitude_std, noise_std=gen.sigma) == default_training_config()
+                          noise_std=gen.sigma) == default_training_config()
     learn, preset, opts = cli.LearnSettings(), ExperimentConfig(name="table1"), SolverOptions()
     penalties = (RegressionSystem.lam, RegressionSystem.M)
     for fn in (assemble_regression, learn_stencil):

@@ -322,7 +322,6 @@ _common_data = {
         "m_max": st.integers(1, 5),
         "grid": st.fixed_dictionaries({"N": st.integers(12, 1 << 20), "L": _finite(1e-6, 1e6)}),
         "seed": st.integers(0, 2**63),
-        "amplitude_std": _finite(1e-6, 1e3),
         "noise_std": _finite(0.0, 1e3),
     }),
     "lam": _finite(0.0, 1.0),

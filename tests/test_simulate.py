@@ -21,7 +21,7 @@ from stencil_lab.core import (
     lift,
     load_stencil,
 )
-from stencil_lab.experiments import ExperimentConfig, RunDir, nonstandard_target, run_noisy, simulate_csvs
+from stencil_lab.experiments import ExperimentConfig, RunDir, learn_stencil, nonstandard_target, run_noisy, simulate_csvs
 from stencil_lab.solvers import ADMM, NAG, PG, REFERENCE
 from stencil_lab.simulate import (
     ENGINES,
@@ -205,6 +205,25 @@ class TestSimulate:
         cfg = SimConfig(dt=dt, n_steps=1, grid=grid, stencil=Stencil(np.array([a, 0.0, a]), grid.dx))
         with pytest.raises(NumericalError, match="did not converge"):
             simulate(single_mode_initial_condition(grid), cfg, engine="dense")
+
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize("dt_ratio", [1e12, 1e90, 1e100, 1e300])
+    def test_huge_time_step_conserves_or_raises(self, grid, training_set, R, dt_ratio):
+        """From dt = 1e90 dx the dense build's starting CG residual overflowed,
+        its zero solution passed as converged, and the fields came back
+        zero; at 1e12 dx CG divided by zero. A dense run now conserves
+        energy or raises, and warns nothing (the suite turns a
+        RuntimeWarning into an error); the spectral engine conserves."""
+        stencil = learn_stencil(training_set, R, ADMM)[0]
+        cfg = standard_config(grid, stencil, dt_ratio=dt_ratio, n_steps=5)
+        init = single_mode_initial_condition(grid)
+        for engine in ("dense", "spectral"):
+            try:
+                e = simulate(init, cfg, engine=engine).energy_series
+            except NumericalError:
+                assert engine == "dense"
+                continue
+            assert np.max(np.abs(e - e[0])) / e[0] <= 1e-10
 
     @pytest.mark.parametrize("engine", ["dense", "spectral"])
     def test_nonfinite_init_rejected(self, grid, engine):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stencil_lab.core import NumericalError, lift
-from stencil_lab.experiments import RunDir
+from stencil_lab.experiments import RunDir, default_training_config
 from stencil_lab.regression import (
     RegressionSystem,
     assemble_regression,
@@ -28,6 +28,7 @@ from stencil_lab.solvers import (
     solve_reference,
 )
 from stencil_lab.solvers import _FIRST_BLOCK, _LAST_BLOCK, _matvecs
+from stencil_lab.training import TrainingSet, generate_training_set
 
 from oracles import dense_system, skew_coordinates
 
@@ -643,3 +644,32 @@ class TestOneQP:
         gram[2, 2] = atb[2] = 7.0
         assert sys_.gram[2, 2] == 1.0 and sys_.atb[2] == 1.0
         assert replace(sys_, lam=1.5).H.tolist() == [[5.0]] and sys_.H.tolist() == [[3.0]]
+
+
+@pytest.fixture(scope="module")
+def noisy_training_set():
+    return generate_training_set(replace(default_training_config(), noise_std=0.05))
+
+
+class TestScaleCovariance:
+    """Fields scaled by s scale A^T A, A^T b and b^T b by s^2, so the learn
+    on them is the unit learn at lam / s^2 (and ADMM's rho / s^2): the
+    data's scale is not a setting. At a power of two s every product
+    scales exactly, so scaling lam and rho by s^2 must give the unit
+    solve's stencil, iterations, stop reason and step changes bit for bit,
+    and its objective trace times s^2."""
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "sigma-0.05"])
+    @pytest.mark.parametrize("R", [1, 2, 3, 4])
+    def test_scaled_data_learns_the_same_stencil(self, training_set, noisy_training_set, noisy, R):
+        ts = noisy_training_set if noisy else training_set
+        cs, opts = build_skew_constraints(R), SolverOptions()
+        unit = {m: solve(m, assemble_regression(ts, R=R), cs, opts) for m in (PG, NAG, ADMM, REFERENCE)}
+        for s in (2.0**-8, 0.5, 2.0, 2.0**10):
+            scaled = TrainingSet(states=s * ts.states, derivatives=s * ts.derivatives, config=ts.config)
+            system = assemble_regression(scaled, R=R, lam=RegressionSystem.lam * s * s)
+            for method, expected in unit.items():
+                got = solve(method, system, cs, replace(opts, rho=opts.rho * s * s))
+                for name in ("w_final", "iterations", "stop_reason", "step_diff_trace"):
+                    assert np.array_equal(getattr(got, name), getattr(expected, name)), (s, method, name)
+                assert np.array_equal(got.objective_trace, s * s * expected.objective_trace), (s, method)

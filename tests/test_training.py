@@ -120,7 +120,7 @@ def _per_sample_fields(rng, cfg):
     phase_arg = 2.0 * np.pi * np.outer(modes, grid.x) / grid.L
     state = np.empty((2, grid.N))
     for row in range(2):
-        amps = rng.normal(0.0, cfg.amplitude_std, size=cfg.m_max)
+        amps = rng.normal(0.0, 1.0, size=cfg.m_max)
         phases = rng.uniform(0.0, 2.0 * np.pi, size=cfg.m_max)
         state[row] = amps @ np.sin(phase_arg + phases[:, None])
     return state
@@ -148,7 +148,6 @@ def _configs(draw):
         m_max=draw(st.integers(1, (N - 1) // 2)),
         grid=Grid1D(N=N, L=draw(st.sampled_from([1.0, 2.5, 2 * np.pi]))),
         seed=draw(st.integers(0, 2**32 - 1)),
-        amplitude_std=draw(st.sampled_from([1.0, 0.3, 7.0])),
         noise_std=draw(st.sampled_from([0.0, 0.0, 1e-3, 0.5])),
     )
 
@@ -208,6 +207,28 @@ class TestValidation:
     def test_negative_noise(self, grid):
         with pytest.raises(ValueError):
             make_config(grid, noise_std=-0.1)
+
+    def test_seed_fits_the_file(self, grid):
+        assert make_config(grid, seed=2**64 - 1).seed == 2**64 - 1
+        with pytest.raises(ValueError, match=r"^seed must be below 2\*\*64, got 18446744073709551616$"):
+            make_config(grid, seed=2**64)
+
+    @pytest.mark.parametrize("field, value", [("states", 1e300), ("derivatives", 1e300), ("derivatives", np.nan)])
+    def test_fields_whose_sum_of_squares_is_not_finite_rejected(self, grid, field, value):
+        cfg = make_config(grid, n_sims=2)
+        arrays = {"states": np.ones((2, 2, 64)), "derivatives": np.ones((2, 2, 64))}
+        arrays[field][1, 0, 5] = value
+        with pytest.raises(ValueError, match="sum of squares is not finite"):
+            TrainingSet(**arrays, config=cfg)
+        arrays[field][1, 0, 5] = 1e150  # squares of 1e300: finite
+        TrainingSet(**arrays, config=cfg)
+
+    @pytest.mark.parametrize("L, noise_std", [(1.0, 1e300), (1e-300, 0.0), (1e-320, 0.0), (1.7976931348623157e308, 0.0)],
+                             ids=["noise-1e300", "L-1e-300", "L-1e-320", "L-max"])
+    def test_generated_fields_that_overflow_rejected(self, L, noise_std):
+        # and no RuntimeWarning, which the suite turns into an error
+        with pytest.raises(ValueError, match="sum of squares is not finite"):
+            generate_training_set(make_config(Grid1D(N=64, L=L), n_sims=2, noise_std=noise_std))
 
     def test_shape_mismatch_rejected(self, grid):
         cfg = make_config(grid)
